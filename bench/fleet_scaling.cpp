@@ -13,18 +13,16 @@
 //
 //   * scaling — device-simulated-seconds per wall second for fleets of
 //     8/32/128/1024 devices running a continuous push-campaign workload
-//     under BOTH schedulers (lockstep barriers vs work-stealing) and BOTH
-//     cores (baseline per-device heaps vs batched wheel + slab + arena).
-//     Each row's simulated horizon is scaled so the timed region stays
+//     under BOTH schedulers (lockstep barriers vs work-stealing). Each
+//     row's simulated horizon is scaled so the timed region stays
 //     >= 0.5 s of wall time, and every row is best-of-N (N = 5 below 128
 //     devices, where scheduler jitter dominates short rows; 3 above) —
 //     the committed numbers are stable enough to gate a >15% CI
 //     regression. Every row also reports steady-state heap allocations
 //     per device-epoch, measured over the second half of the run (the
-//     first half is warmup: retained buffers, slabs, and arenas grow to
-//     their working-set sizes there). The 1024-device work-stealing row
-//     and the best 1024-device batched row are the numbers CI gates
-//     against.
+//     first half is warmup: retained buffers grow to their working-set
+//     sizes there). The 1024-device work-stealing row is the number CI
+//     gates against.
 //
 //   * hibernation — the work-stealing scheduler with a 64-device
 //     resident cap, at 128 and 8192 devices: live heap bytes per PARKED
@@ -59,7 +57,10 @@ std::int64_t live_bytes() {
 }
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Every replacement stays out of line: once inlined into a call site,
+// GCC pairs the pointer with malloc/free instead of the replaced operator
+// and reports a false -Wmismatched-new-delete at -O3.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (void* p = std::malloc(size ? size : 1)) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
     g_live_bytes.fetch_add(
@@ -69,8 +70,10 @@ void* operator new(std::size_t size) {
   }
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept {
   if (p != nullptr) {
     g_live_bytes.fetch_sub(
         static_cast<std::int64_t>(malloc_usable_size(p)),
@@ -78,9 +81,13 @@ void operator delete(void* p) noexcept {
   }
   std::free(p);
 }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept {
+  ::operator delete(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
   ::operator delete(p);
 }
 
@@ -213,27 +220,23 @@ std::int64_t copied_leg_bytes_per_device(int n) {
 struct ScaleResult {
   int devices = 0;
   const char* scheduler = "lockstep";
-  const char* core = "baseline";
   int threads = 0;  // shards (lockstep) or workers (work-stealing)
   std::int64_t sim_seconds = 0;
   double wall_s = 0.0;
   double device_sim_s_per_wall_s = 0.0;
   /// Heap allocations per device per 5 s epoch over the steady-state
-  /// (post-warmup) half of the run. The arena-backed batched core should
-  /// sit at ~0; any climb here is a retention bug.
+  /// (post-warmup) half of the run; any climb here is a retention bug.
   double allocs_per_device_epoch = 0.0;
   std::int64_t peak_rss_kb_per_device = 0;
   std::uint64_t pushes_delivered = 0;
 };
 
 ScaleResult run_fleet_once(int devices, fleet::Scheduler scheduler,
-                           fleet::FleetCore core, int threads,
-                           std::int64_t sim_seconds) {
+                           int threads, std::int64_t sim_seconds) {
   reset_peak_rss();
   fleet::FleetOptions options;
   options.device_count = devices;
   options.scheduler = scheduler;
-  options.core = core;
   options.shards = threads;
   options.workers = static_cast<unsigned>(threads);
   options.epoch = sim::seconds(5);
@@ -243,7 +246,7 @@ ScaleResult run_fleet_once(int devices, fleet::Scheduler scheduler,
   fleet.broker().add_campaign(make_campaign(sim_seconds));
   fleet.start();
 
-  // First half is warmup (buffers, slabs, and arenas settle); the alloc
+  // First half is warmup (retained buffers settle); the alloc
   // counter only watches the second half. Splitting run_for is
   // observable-result-neutral (the equivalence suites cover multi-leg
   // timelines), and both halves stay inside the timed region.
@@ -264,8 +267,6 @@ ScaleResult run_fleet_once(int devices, fleet::Scheduler scheduler,
   result.scheduler = scheduler == fleet::Scheduler::kWorkStealing
                          ? "work_stealing"
                          : "lockstep";
-  result.core =
-      core == fleet::FleetCore::kBatched ? "batched" : "baseline";
   result.threads = threads;
   result.sim_seconds = sim_seconds;
   result.wall_s = wall;
@@ -284,13 +285,12 @@ ScaleResult run_fleet_once(int devices, fleet::Scheduler scheduler,
   return result;
 }
 
-ScaleResult best_of(int devices, fleet::Scheduler scheduler,
-                    fleet::FleetCore core, int threads) {
+ScaleResult best_of(int devices, fleet::Scheduler scheduler, int threads) {
   const std::int64_t sim_seconds = sim_seconds_for(devices);
   ScaleResult best;
   for (int rep = 0; rep < reps_for(devices); ++rep) {
     const ScaleResult r =
-        run_fleet_once(devices, scheduler, core, threads, sim_seconds);
+        run_fleet_once(devices, scheduler, threads, sim_seconds);
     if (rep == 0 || r.wall_s < best.wall_s) best = r;
   }
   return best;
@@ -351,9 +351,8 @@ HibernationResult run_hibernating(int devices, int cap) {
 }  // namespace
 
 int main() {
-  std::printf("=== fleet scaling: push campaigns, both schedulers, both "
-              "cores, best-of-%d/%d rows ===\n\n", reps_for(8),
-              reps_for(1024));
+  std::printf("=== fleet scaling: push campaigns, both schedulers, "
+              "best-of-%d/%d rows ===\n\n", reps_for(8), reps_for(1024));
 
   const std::int64_t shared_bpd =
       shared_leg_bytes_per_device(kMemoryDevices);
@@ -371,34 +370,24 @@ int main() {
 
   const int sizes[] = {8, 32, 128, 1024};
   std::vector<ScaleResult> results;
-  std::printf("%8s %14s %9s %8s %8s %9s %20s %11s %13s %9s\n", "devices",
-              "scheduler", "core", "threads", "sim-s", "wall (s)",
+  std::printf("%8s %14s %8s %8s %9s %20s %11s %13s %9s\n", "devices",
+              "scheduler", "threads", "sim-s", "wall (s)",
               "dev-sim-s / wall-s", "allocs/d-ep", "peak RSS/dev", "pushes");
   double gate_throughput = 0.0;
-  double batched_gate_throughput = 0.0;
   for (const int n : sizes) {
     const int threads = n >= 32 ? 4 : 2;
-    for (const fleet::FleetCore core :
-         {fleet::FleetCore::kBaseline, fleet::FleetCore::kBatched}) {
-      for (const fleet::Scheduler scheduler :
-           {fleet::Scheduler::kLockstep, fleet::Scheduler::kWorkStealing}) {
-        const ScaleResult r = best_of(n, scheduler, core, threads);
-        std::printf(
-            "%8d %14s %9s %8d %8lld %9.3f %20.0f %11.2f %10lld kB %9llu\n",
-            r.devices, r.scheduler, r.core, r.threads,
-            static_cast<long long>(r.sim_seconds), r.wall_s,
-            r.device_sim_s_per_wall_s, r.allocs_per_device_epoch,
-            static_cast<long long>(r.peak_rss_kb_per_device),
-            static_cast<unsigned long long>(r.pushes_delivered));
-        results.push_back(r);
-        if (n == 1024 && core == fleet::FleetCore::kBaseline &&
-            scheduler == fleet::Scheduler::kWorkStealing) {
-          gate_throughput = r.device_sim_s_per_wall_s;
-        }
-        if (n == 1024 && core == fleet::FleetCore::kBatched) {
-          batched_gate_throughput = std::max(batched_gate_throughput,
-                                             r.device_sim_s_per_wall_s);
-        }
+    for (const fleet::Scheduler scheduler :
+         {fleet::Scheduler::kLockstep, fleet::Scheduler::kWorkStealing}) {
+      const ScaleResult r = best_of(n, scheduler, threads);
+      std::printf("%8d %14s %8d %8lld %9.3f %20.0f %11.2f %10lld kB %9llu\n",
+                  r.devices, r.scheduler, r.threads,
+                  static_cast<long long>(r.sim_seconds), r.wall_s,
+                  r.device_sim_s_per_wall_s, r.allocs_per_device_epoch,
+                  static_cast<long long>(r.peak_rss_kb_per_device),
+                  static_cast<unsigned long long>(r.pushes_delivered));
+      results.push_back(r);
+      if (n == 1024 && scheduler == fleet::Scheduler::kWorkStealing) {
+        gate_throughput = r.device_sim_s_per_wall_s;
       }
     }
   }
@@ -435,14 +424,13 @@ int main() {
       const ScaleResult& r = results[i];
       std::fprintf(json,
                    "    {\"devices\": %d, \"scheduler\": \"%s\", "
-                   "\"core\": \"%s\", "
                    "\"threads\": %d, \"sim_seconds\": %lld, "
                    "\"wall_s\": %.4f, "
                    "\"device_sim_s_per_wall_s\": %.1f, "
                    "\"allocs_per_device_epoch\": %.2f, "
                    "\"peak_rss_kb_per_device\": %lld, "
                    "\"pushes_delivered\": %llu}%s\n",
-                   r.devices, r.scheduler, r.core, r.threads,
+                   r.devices, r.scheduler, r.threads,
                    static_cast<long long>(r.sim_seconds), r.wall_s,
                    r.device_sim_s_per_wall_s, r.allocs_per_device_epoch,
                    static_cast<long long>(r.peak_rss_kb_per_device),
@@ -469,10 +457,9 @@ int main() {
     std::fprintf(json,
                  "  ],\n"
                  "  \"throughput_device_sim_s_per_wall_s\": %.1f,\n"
-                 "  \"batched_device_sim_s_per_wall_s\": %.1f,\n"
                  "  \"hibernation_bytes_per_parked_device\": %lld\n"
                  "}\n",
-                 gate_throughput, batched_gate_throughput,
+                 gate_throughput,
                  static_cast<long long>(hib_gate_bytes));
     std::fclose(json);
     std::printf("\nwrote BENCH_fleet.json\n");

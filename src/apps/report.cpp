@@ -36,13 +36,16 @@ std::string render_device_report(fleet::DeviceContext& bed,
   }
 
   if (options.include_android_view) {
-    out += "\n" + bed.battery_stats().view().render("Android BatteryStats");
+    out += '\n';
+    out += bed.battery_stats().view().render("Android BatteryStats");
   }
   if (options.include_powertutor_view) {
-    out += "\n" + bed.power_tutor().view().render("PowerTutor");
+    out += '\n';
+    out += bed.power_tutor().view().render("PowerTutor");
   }
   if (options.include_eandroid_view && bed.eandroid() != nullptr) {
-    out += "\n" + bed.eandroid()->view().render("collateral accounting");
+    out += '\n';
+    out += bed.eandroid()->view().render("collateral accounting");
   }
 
   if (options.include_open_windows && bed.eandroid() != nullptr) {

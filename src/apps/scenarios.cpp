@@ -145,7 +145,7 @@ ScenarioResult run_attack3(std::uint64_t seed,
   bed.start();
 
   // The malware camps in the background, polling getRunningServices().
-  bed.context_of(BinderMalware::kPackage);
+  bed.server().ensure_process(bed.uid_of(BinderMalware::kPackage));
   bed.sim().run_for(sim::seconds(1));
 
   // The victim starts its own service...
@@ -175,7 +175,8 @@ ScenarioResult run_attack4(std::uint64_t seed,
   bed.install<InterrupterMalware>(victim.package);
   bed.start();
 
-  bed.context_of(InterrupterMalware::kPackage);  // arm the shm poller
+  // Arm the shm poller.
+  bed.server().ensure_process(bed.uid_of(InterrupterMalware::kPackage));
   bed.server().user_launch(victim.package);
   bed.sim().run_for(sim::seconds(5));
 
@@ -200,7 +201,7 @@ ScenarioResult run_attack5(std::uint64_t seed, int brightness,
   bed.start();
 
   bed.server().user_launch("com.example.music");
-  bed.context_of(BrightnessMalware::kPackage);
+  bed.server().ensure_process(bed.uid_of(BrightnessMalware::kPackage));
   bed.sim().run_for(sim::seconds(5));
   malware->attack();
   // The user keeps using the phone; taps keep the screen on.
@@ -220,7 +221,7 @@ ScenarioResult run_attack6(std::uint64_t seed, bool release_lock,
   auto* malware = bed.install<WakelockMalware>();
   bed.start();
 
-  bed.context_of(WakelockMalware::kPackage);
+  bed.server().ensure_process(bed.uid_of(WakelockMalware::kPackage));
   malware->attack();
   if (release_lock) {
     bed.sim().schedule(sim::seconds(5), [malware] { malware->release(); });
@@ -259,7 +260,7 @@ ScenarioResult run_chain_attack(std::uint64_t seed,
   bed.install<BinderMalware>(b.package, DemoApp::kService);
   bed.start();
 
-  bed.context_of(BinderMalware::kPackage);  // arm
+  bed.server().ensure_process(bed.uid_of(BinderMalware::kPackage));  // arm
   bed.context_of(b.package)
       .start_service(Intent::explicit_for(b.package, DemoApp::kService));
   bed.sim().run_for(sim::seconds(1));
@@ -320,7 +321,7 @@ ScenarioResult run_push_flood(std::uint64_t seed,
 
   // The victim has run at least once (registered its endpoint), then
   // sits in background like any sync client.
-  bed.context_of(victim.package);
+  bed.server().ensure_process(bed.uid_of(victim.package));
   (void)bed.context_of(PushFlooderMalware::kPackage);
   flooder->attack();
   for (int i = 0; i < 3; ++i) {

@@ -5,10 +5,7 @@
 // over slice.active() and re-read the same five SoA cells behind their
 // own on_slice. The pipeline replaces that fan-out with ONE incremental
 // pass over the touched cells: the slice's touched view exposes the five
-// column base pointers (owned arrays, or the device's EnergySlab row in
-// the batched core — where a group's co-sharded slots are consecutive
-// rows of the same columns, so the group's same-instant ticks sweep the
-// slab contiguously). Accumulators that are themselves dense part
+// column base pointers. Accumulators that are themselves dense part
 // columns (BatteryStats, PowerTutor) fold as straight-line column sweeps
 // over ALL cells — no gather, no per-cell branch, the shape the
 // vectorizer wants; sweeping past untouched cells is bit-safe because
@@ -21,10 +18,10 @@
 // operand sequence its on_slice issued, in the same order — per-part adds
 // in part order, apps ascending (seal()'s canonical order), and the
 // engine's battery ground truth as the same running sum total_mj()
-// computes (system+screen first, then apps ascending). Digests, trace
-// bytes, and engine reports are therefore bit-for-bit equal to the
-// retained virtual-sink path (DeviceSpec::fused_metering = false), which
-// the 8-way hot×core×pipeline equivalence matrix enforces.
+// computes (system+screen first, then apps ascending). The dense column
+// sweeps are pinned against BatteryStats/PowerTutor::on_slice in
+// tests/energy/pipeline_test.cpp; the engine's direct store is checked
+// against the battery's ground truth by the conservation invariant.
 #pragma once
 
 #include <atomic>
@@ -109,10 +106,10 @@ class MeteringPipeline {
 
   /// TEST-ONLY fault seam: while `part` is in [0, 5), every pipeline's
   /// fused sparse fold treats that part column as zero in the engine's
-  /// direct store and battery ground truth — a deliberate equivalence bug
-  /// confined to the fused route, used to prove the scenario fuzzer's
-  /// fused-vs-virtual oracle catches and shrinks real divergences
-  /// (tests/fuzz/injected_bug_test.cpp). -1 (the default) disarms it.
+  /// direct store and battery ground truth — a deliberate conservation
+  /// bug, used to prove the scenario fuzzer's invariant leg catches and
+  /// shrinks real divergences (tests/fuzz/injected_bug_test.cpp). -1 (the
+  /// default) disarms it.
   /// Process-global so the fault reaches pipelines constructed deep
   /// inside oracle legs; tests must restore -1 before passing.
   static void set_test_skip_part(int part) {

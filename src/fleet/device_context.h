@@ -89,11 +89,7 @@ class DeviceContext {
     return battery_stats_;
   }
   [[nodiscard]] energy::PowerTutor& power_tutor() { return power_tutor_; }
-  /// Null when the spec selected the virtual-sink metering route
-  /// (fused_metering=false).
-  [[nodiscard]] energy::MeteringPipeline* pipeline() {
-    return pipeline_.get();
-  }
+  [[nodiscard]] energy::MeteringPipeline& pipeline() { return pipeline_; }
   /// Null when constructed with with_eandroid=false (stock Android).
   [[nodiscard]] core::EAndroid* eandroid() { return eandroid_.get(); }
   [[nodiscard]] const core::EAndroid* eandroid() const {
@@ -102,6 +98,8 @@ class DeviceContext {
 
   [[nodiscard]] framework::Context& context_of(const std::string& package) {
     const framework::PackageRecord* pkg = server_.packages().find(package);
+    EANDROID_CHECK(pkg != nullptr,
+                   "context_of: package '" << package << "' is not installed");
     server_.ensure_process(pkg->uid);
     return server_.context_of(pkg->uid);
   }
@@ -190,10 +188,9 @@ class DeviceContext {
   energy::BatteryStats battery_stats_;
   energy::PowerTutor power_tutor_;
   std::unique_ptr<core::EAndroid> eandroid_;
-  /// Fused metering stage; constructed (with its two obs counters) only
-  /// when the spec asks for it, so virtual-route devices register the
-  /// exact pre-pipeline metric set.
-  std::unique_ptr<energy::MeteringPipeline> pipeline_;
+  /// The fold stage: one pass feeds the engine, BatteryStats and
+  /// PowerTutor (energy/pipeline.h).
+  energy::MeteringPipeline pipeline_;
 
   // Prepared-send registry (see section above): campaign index -> slot,
   // and the slots themselves.

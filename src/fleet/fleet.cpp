@@ -26,13 +26,6 @@ FleetOptions normalized(FleetOptions options) {
                  "work-stealing scheduler");
   EANDROID_CHECK(options.advance_grain_windows >= 1,
                  "advance_grain_windows must be >= 1");
-  EANDROID_CHECK(options.batch_group_size >= 0,
-                 "batch_group_size must be >= 0 (0 = one group per shard)");
-  EANDROID_CHECK(options.core == FleetCore::kBaseline ||
-                     options.max_resident_devices == 0,
-                 "the batched core is incompatible with hibernation: "
-                 "parking destroys DeviceContexts whose wheel attachment "
-                 "and slab row live for the shard group's lifetime");
   options.shards = std::min(options.shards, options.device_count);
   if (options.workers == 0) {
     options.workers = static_cast<unsigned>(options.shards);
@@ -53,33 +46,6 @@ Fleet::Fleet(FleetOptions options) : options_(normalized(std::move(options))) {
     exec_ = std::make_unique<exp::WorkStealingExecutor>(options_.workers);
   }
   slots_.resize(static_cast<std::size_t>(options_.device_count));
-  if (batched()) {
-    // Shard groups first: make_spec points each device at its group's
-    // wheel/slab/arena, so the groups must exist before any device does.
-    // Membership is round-robin (device i -> group i % group_count),
-    // with group_count at least the shard count so each lockstep pool
-    // job / work-stealing task still touches exactly one group, but
-    // usually finer: batch_group_size caps how many devices interleave
-    // through one wheel (see the FleetOptions field comment).
-    std::size_t group_count = static_cast<std::size_t>(options_.shards);
-    if (options_.batch_group_size > 0) {
-      const auto per = static_cast<std::size_t>(options_.batch_group_size);
-      group_count =
-          std::max(group_count, (slots_.size() + per - 1) / per);
-    }
-    group_count = std::min(group_count, slots_.size());
-    groups_.reserve(group_count);
-    for (std::size_t s = 0; s < group_count; ++s) {
-      auto group = std::make_unique<CoreGroup>();
-      group->wheel = std::make_unique<sim::TimeWheel>();
-      for (std::size_t i = s; i < slots_.size(); i += group_count) {
-        group->members.push_back(i);
-      }
-      group->slab = std::make_unique<energy::EnergySlab>(
-          static_cast<std::uint32_t>(group->members.size()), group->arena);
-      groups_.push_back(std::move(group));
-    }
-  }
   if (!hibernating()) {
     // Eager population: every device exists for the fleet's lifetime, the
     // shape the lockstep baseline always had. Hibernating fleets build
@@ -101,21 +67,10 @@ DeviceSpec Fleet::make_spec(int i) const {
   spec.with_eandroid = options_.with_eandroid;
   spec.eandroid_mode = options_.eandroid_mode;
   spec.sample_period = options_.sample_period;
-  spec.hot_path = options_.hot_path;
-  spec.fused_metering = options_.fused_metering;
   spec.obs = options_.obs;
   spec.params = options_.params;
   spec.engine_config = options_.engine_config;
   spec.install_plan = options_.install_plan;
-  if (!groups_.empty()) {
-    const auto n = static_cast<std::size_t>(i);
-    CoreGroup& group = *groups_[n % groups_.size()];
-    spec.time_wheel = group.wheel.get();
-    spec.energy_slab = group.slab.get();
-    spec.slab_slot = static_cast<std::uint32_t>(n / groups_.size());
-    spec.arena = &group.arena;
-    spec.obs.arena = &group.arena;
-  }
   return spec;
 }
 
@@ -148,24 +103,13 @@ void Fleet::for_each_slot_async(Fn&& fn) {
   exec_->wait_idle();
 }
 
-template <typename Fn>
-void Fleet::for_each_group_async(Fn&& fn) {
-  std::vector<exp::WorkStealingExecutor::Task> tasks;
-  tasks.reserve(groups_.size());
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    tasks.push_back([&fn, g] { fn(g); });
-  }
-  exec_->submit_bulk(std::move(tasks));
-  exec_->wait_idle();
-}
-
 void Fleet::inject_device(DeviceContext& device, int index,
                           sim::TimePoint begin, sim::TimePoint end) {
   const std::uint64_t sends = broker_.inject(device, index, begin, end);
   // The trace marks (window boundary, sends injected) depend only on
-  // device_index and the window boundaries — never on sharding, the
-  // scheduler, or the core — so traced fleets keep the bitwise
-  // invariance contract across all of them.
+  // device_index and the window boundaries — never on sharding or the
+  // scheduler — so traced fleets keep the bitwise invariance contract
+  // across all of them.
   [[maybe_unused]] obs::TraceRecorder* tr = device.obs().trace();
   EANDROID_TRACE_LIT(tr, begin.micros(), obs::TraceCategory::kFleet,
                      "fleet.epoch", -1, end.micros());
@@ -196,17 +140,6 @@ void Fleet::start() {
         slot.booted = true;
       }
     }
-    return;
-  }
-  if (batched()) {
-    // Boot is group-serial: starting a device schedules events on the
-    // group's shared wheel, so the task granularity must be the group.
-    for_each_group_async([this](std::size_t g) {
-      for (const std::size_t i : groups_[g]->members) {
-        slots_[i].ctx->start();
-        slots_[i].booted = true;
-      }
-    });
     return;
   }
   for_each_slot_async([this](std::size_t i) {
@@ -289,35 +222,13 @@ void Fleet::run_for(sim::Duration total) {
         inject_device(*slots_[i].ctx, static_cast<int>(i), begin,
                       window_end);
       }
-      // 2+3. Advance every shard to the window end, then barrier. On the
-      // batched core a shard's devices share one wheel, so the pool job
-      // advances the group structure instead of devices one by one.
-      if (batched()) {
-        // One pool job per shard, each walking its deal of groups — not
-        // one per group: with small batch groups that would be thousands
-        // of future-backed submissions per window.
-        const auto shards = static_cast<std::size_t>(options_.shards);
-        std::vector<std::future<void>> done;
-        done.reserve(shards);
-        for (std::size_t s = 0; s < shards; ++s) {
-          done.push_back(pool_->submit([this, s, shards, window_end] {
-            for (std::size_t g = s; g < groups_.size(); g += shards) {
-              groups_[g]->wheel->run_until(window_end);
-            }
-          }));
-        }
-        for (std::future<void>& f : done) f.get();
-      } else {
-        for_each_device_sharded([window_end](DeviceContext& device, int) {
-          device.advance_to(window_end);
-        });
-      }
+      // 2+3. Advance every shard to the window end, then barrier.
+      for_each_device_sharded([window_end](DeviceContext& device, int) {
+        device.advance_to(window_end);
+      });
       windows_advanced_.fetch_add(slots_.size(), std::memory_order_relaxed);
     }
     for (DeviceSlot& slot : slots_) slot.next_window = windows_.size();
-    for (const std::unique_ptr<CoreGroup>& group : groups_) {
-      group->next_window = windows_.size();
-    }
     return;
   }
   if (hibernating()) {
@@ -330,92 +241,13 @@ void Fleet::run_for(sim::Duration total) {
     }
     return;
   }
-  // Work-stealing dispatch: one task per device (baseline) or per shard
-  // group (batched — group structures are single-owner); each walks its
-  // charge through the new windows in grains, requeueing until caught
-  // up. No per-window barrier — the wait inside is the aggregation cut.
+  // Work-stealing dispatch: one task per device; each walks its device
+  // through the new windows in grains, requeueing until caught up. No
+  // per-window barrier — the wait inside is the aggregation cut.
   const std::size_t target = windows_.size();
-  if (batched()) {
-    for_each_group_async([this, target](std::size_t g) {
-      advance_group_task(g, target);
-    });
-    return;
-  }
   for_each_slot_async([this, target](std::size_t i) {
     advance_task(i, target);
   });
-}
-
-void Fleet::advance_group_windows(std::size_t g, std::size_t w_begin,
-                                  std::size_t w_end) {
-  if (w_begin >= w_end) return;
-  CoreGroup& group = *groups_[g];
-  const std::size_t members = group.members.size();
-  std::size_t w = w_begin;
-  while (w < w_end) {
-    if (!options_.obs.trace) {
-      // Group-level consolidation: fold a maximal run of windows where
-      // NO member may receive a send into one wheel advance. For each
-      // member this is the same identity the per-device fold relies on
-      // (splitting run_until where nothing is injected); the group
-      // merely requires it to hold for every member at once.
-      std::size_t run = w;
-      while (run < w_end) {
-        bool sendless = true;
-        for (const std::size_t i : group.members) {
-          if (broker_.may_send_in(static_cast<int>(i), window_begin(run),
-                                  windows_[run])) {
-            sendless = false;
-            break;
-          }
-        }
-        if (!sendless) break;
-        ++run;
-      }
-      if (run > w) {
-        group.wheel->run_until(windows_[run - 1]);
-        windows_advanced_.fetch_add((run - w) * members,
-                                    std::memory_order_relaxed);
-        windows_consolidated_.fetch_add((run - w - 1) * members,
-                                        std::memory_order_relaxed);
-        w = run;
-        continue;
-      }
-    }
-    const sim::TimePoint begin = window_begin(w);
-    const sim::TimePoint end = windows_[w];
-    for (const std::size_t i : group.members) {
-      inject_device(*slots_[i].ctx, static_cast<int>(i), begin, end);
-    }
-    group.wheel->run_until(end);
-    windows_advanced_.fetch_add(members, std::memory_order_relaxed);
-    ++w;
-  }
-}
-
-void Fleet::advance_group_task(std::size_t g, std::size_t target) {
-  CoreGroup& group = *groups_[g];
-  const std::size_t stop =
-      std::min(target, group.next_window +
-                           static_cast<std::size_t>(
-                               options_.advance_grain_windows));
-  advance_group_windows(g, group.next_window, stop);
-  group.next_window = stop;
-  for (const std::size_t i : group.members) {
-    slots_[i].next_window = stop;
-  }
-  if (stop < target) {
-    // Requeue on the worker's own deque, like advance_task. The two
-    // indices are packed into one word so the closure stays inside
-    // std::function's small-buffer optimisation.
-    const std::uint64_t packed =
-        (static_cast<std::uint64_t>(g) << 32) |
-        static_cast<std::uint64_t>(target);
-    exec_->submit([this, packed] {
-      advance_group_task(static_cast<std::size_t>(packed >> 32),
-                         static_cast<std::size_t>(packed & 0xffffffffu));
-    });
-  }
 }
 
 void Fleet::materialize(DeviceSlot& slot, std::size_t i) {
@@ -488,18 +320,6 @@ void Fleet::finish() {
     // one visit — construct, boot, windows, flush, snapshot, park. Peak
     // residency is the LRU cap plus the devices in flight on workers.
     for_each_slot_async([this](std::size_t i) { hibernate_task(i); });
-    finished_ = true;
-    return;
-  }
-  if (batched()) {
-    // Flush is group-serial: closing the final sample window writes the
-    // group's shared energy slab (and may grow its columns).
-    for_each_group_async([this](std::size_t g) {
-      for (const std::size_t i : groups_[g]->members) {
-        slots_[i].ctx->finish();
-        slots_[i].flushed = true;
-      }
-    });
     finished_ = true;
     return;
   }
@@ -584,25 +404,6 @@ obs::MetricsSnapshot Fleet::scheduler_metrics() const {
     counters.emplace_back("fleet.sched.injection_refills",
                           s.injection_refills);
     counters.emplace_back("fleet.sched.parks", s.parks);
-  }
-  if (!groups_.empty()) {
-    std::uint64_t cascades = 0;
-    std::uint64_t occupancy_peak = 0;
-    std::uint64_t arena_high_water = 0;
-    std::uint64_t slab_bytes = 0;
-    for (const std::unique_ptr<CoreGroup>& group : groups_) {
-      cascades += group->wheel->cascades();
-      occupancy_peak = std::max<std::uint64_t>(occupancy_peak,
-                                               group->wheel->max_live());
-      arena_high_water += group->arena.high_water_bytes();
-      slab_bytes += group->slab->bytes();
-    }
-    counters.emplace_back("fleet.core.wheel_cascades", cascades);
-    counters.emplace_back("fleet.core.wheel_occupancy_peak", occupancy_peak);
-    counters.emplace_back("fleet.core.arena_high_water_bytes",
-                          arena_high_water);
-    counters.emplace_back("fleet.core.slab_bytes_per_device",
-                          slab_bytes / slots_.size());
   }
   return obs::MetricsSnapshot::of_counters(std::move(counters));
 }

@@ -55,15 +55,12 @@
 #include <string>
 #include <vector>
 
-#include "energy/slab.h"
 #include "exp/thread_pool.h"
 #include "exp/work_stealing.h"
 #include "fleet/device_context.h"
 #include "fleet/hibernation.h"
 #include "fleet/push_broker.h"
 #include "obs/metrics.h"
-#include "sim/arena.h"
-#include "sim/time_wheel.h"
 
 namespace eandroid::fleet {
 
@@ -71,19 +68,6 @@ namespace eandroid::fleet {
 enum class Scheduler {
   kLockstep,      ///< inject/advance/barrier per window (baseline)
   kWorkStealing,  ///< per-device tasks on a work-stealing executor
-};
-
-/// How a shard's devices store and dispatch their simulation state.
-enum class FleetCore {
-  /// One 4-ary event heap and one set of heap-allocated energy buffers
-  /// per device — the retained baseline and differential anchor.
-  kBaseline,
-  /// Co-sharded devices share one hierarchical TimeWheel (events fire
-  /// across the group in (when, device, seq) order), one SoA EnergySlab
-  /// (per-app cells in contiguous columns), and one MonotonicArena
-  /// (engine scratch + trace rings). A pure data-layout change: digests
-  /// and trace bytes are bit-identical to kBaseline (DESIGN.md §12).
-  kBatched,
 };
 
 struct FleetOptions {
@@ -97,26 +81,10 @@ struct FleetOptions {
   /// Scheduler selection. Purely a throughput/memory knob: digests and
   /// trace bytes are identical across schedulers.
   Scheduler scheduler = Scheduler::kLockstep;
-  /// Simulation-core selection (orthogonal to the scheduler): kBatched
-  /// fuses each shard's devices onto shared wheel/slab/arena structures.
-  /// Also purely a throughput/memory knob — digests and trace bytes are
-  /// identical across cores. Incompatible with hibernation (parking
-  /// destroys devices, whose wheel/slab rows live for the group's
-  /// lifetime).
-  FleetCore core = FleetCore::kBaseline;
 
   /// Lockstep worker shards; devices are dealt round-robin (device i ->
   /// shard i % shards). Results never depend on this.
   int shards = 1;
-  /// Batched-core devices per shared wheel/slab/arena group: the fleet
-  /// carves at least ceil(device_count / batch_group_size) groups, never
-  /// fewer than `shards` (0 = exactly one group per shard). A group
-  /// advances through a window event-by-event in (when, device, seq)
-  /// order, so every same-instant event interleaves its members' working
-  /// sets — small groups keep that interleave inside cache, which
-  /// measures far faster than shard-sized groups (DESIGN.md §12).
-  /// Results never depend on this.
-  int batch_group_size = 4;
   /// Work-stealing worker threads; 0 means `shards` (so flipping the
   /// scheduler flag alone compares equal thread budgets).
   unsigned workers = 0;
@@ -137,10 +105,6 @@ struct FleetOptions {
   bool with_eandroid = true;
   core::Mode eandroid_mode = core::Mode::kComplete;
   sim::Duration sample_period = sim::millis(250);
-  bool hot_path = true;
-  /// Fused MeteringPipeline vs virtual sink chain (DeviceSpec::
-  /// fused_metering); bit-identical digests and traces either way.
-  bool fused_metering = true;
   /// Per-device observability (each device gets its OWN recorder and
   /// registry; only the options are fleet-wide). With tracing on, the
   /// fleet marks window boundaries and push injections on every device's
@@ -235,25 +199,8 @@ class Fleet {
     DeviceSnapshot snap;
   };
 
-  /// One shard's shared simulation core (kBatched only): the arena the
-  /// slab columns, trace rings, and engine scratch are carved from, the
-  /// group time wheel, the SoA energy slab, and the member device
-  /// indices. Exactly one worker advances a group at a time — the same
-  /// single-owner discipline DeviceContext has — so no locks.
-  struct CoreGroup {
-    sim::MonotonicArena arena;
-    std::unique_ptr<sim::TimeWheel> wheel;
-    std::unique_ptr<energy::EnergySlab> slab;
-    std::vector<std::size_t> members;
-    /// Causal windows fully applied to the whole group.
-    std::size_t next_window = 0;
-  };
-
   [[nodiscard]] bool hibernating() const {
     return options_.max_resident_devices > 0;
-  }
-  [[nodiscard]] bool batched() const {
-    return options_.core == FleetCore::kBatched;
   }
   [[nodiscard]] DeviceSpec make_spec(int i) const;
   [[nodiscard]] sim::TimePoint window_begin(std::size_t w) const {
@@ -270,19 +217,10 @@ class Fleet {
   void advance_task(std::size_t i, std::size_t target);
   /// One device's per-window injection: broker sends + the fleet.epoch /
   /// fleet.push_inject trace marks and pushes_injected metric. Shared by
-  /// every scheduler × core path so the observable per-device sequence
-  /// is identical everywhere.
+  /// both schedulers so the observable per-device sequence is identical
+  /// everywhere.
   void inject_device(DeviceContext& device, int index, sim::TimePoint begin,
                      sim::TimePoint end);
-  /// Batched analogue of advance_windows: walks shard group g through
-  /// windows [w_begin, w_end) — inject every member, then advance the
-  /// group wheel to the window end. With tracing off, folds runs of
-  /// windows where NO member may receive a send into one wheel run.
-  void advance_group_windows(std::size_t g, std::size_t w_begin,
-                             std::size_t w_end);
-  /// Work-stealing grain for a batched shard group: advance group g up to
-  /// `target` windows, requeue if not caught up.
-  void advance_group_task(std::size_t g, std::size_t target);
   /// Hibernating finish pass for slot i: materialize, run the full
   /// timeline, flush, snapshot, park (LRU) or stay pinned.
   void hibernate_task(std::size_t i);
@@ -301,18 +239,8 @@ class Fleet {
   /// each, and waits idle (the work-stealing aggregation cut).
   template <typename Fn>
   void for_each_slot_async(Fn&& fn);
-  /// Runs `fn(g)` for every shard group as one executor task each, and
-  /// waits idle. Batched work-stealing paths use this instead of
-  /// for_each_slot_async: group structures are single-owner, so the task
-  /// granularity must be the group, never the device.
-  template <typename Fn>
-  void for_each_group_async(Fn&& fn);
 
   FleetOptions options_;
-  /// Batched-core shard groups (empty on kBaseline). Declared before
-  /// slots_ so devices — which hold pointers into their group's wheel,
-  /// slab, and arena — are destroyed first.
-  std::vector<std::unique_ptr<CoreGroup>> groups_;
   std::vector<DeviceSlot> slots_;
   PushBroker broker_;
   std::unique_ptr<exp::ThreadPool> pool_;            // lockstep only

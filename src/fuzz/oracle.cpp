@@ -20,12 +20,9 @@ struct Observed {
 };
 
 /// One single-device replay; digests/traces have exactly one element.
-Observed run_single(const ScenarioProgram& program, bool hot, bool fused,
-                    bool trace) {
+Observed run_single(const ScenarioProgram& program, bool trace) {
   fleet::DeviceSpec spec;
   spec.seed = program.seed;
-  spec.hot_path = hot;
-  spec.fused_metering = fused;
   spec.obs.trace = trace;
   fleet::DeviceContext bed(spec);
   install_cast(bed);
@@ -40,24 +37,27 @@ Observed run_single(const ScenarioProgram& program, bool hot, bool fused,
 
 constexpr int kFleetDevices = 4;
 
-/// One fleet replay: every device runs the same program (device rng seeds
-/// differ via seed_stride, so the population is not N clones), with a
-/// push campaign layered on top to keep cross-device injection in play.
+/// The oracle's fleet: the cast on every device (device rng seeds differ
+/// via seed_stride, so the population is not N clones), with a push
+/// campaign layered on top to keep cross-device injection in play.
 /// Campaign instants sit off the 250 ms sampling grid (broker contract).
-Observed run_fleet(const ScenarioProgram& program, fleet::Scheduler scheduler,
-                   fleet::FleetCore core, int shards, bool trace) {
+/// `max_resident_devices` > 0 makes a hibernating work-stealing fleet.
+std::unique_ptr<fleet::Fleet> make_fleet(const ScenarioProgram& program,
+                                         fleet::Scheduler scheduler,
+                                         int shards, int max_resident_devices,
+                                         bool trace) {
   fleet::FleetOptions options;
   options.device_count = kFleetDevices;
   options.base_seed = program.seed;
   options.seed_stride = 1;
   options.scheduler = scheduler;
-  options.core = core;
   options.shards = shards;
   if (scheduler == fleet::Scheduler::kWorkStealing) options.workers = 4;
+  options.max_resident_devices = max_resident_devices;
   options.epoch = sim::seconds(1);
   options.obs.trace = trace;
   options.install_plan = cast_install_plan();
-  fleet::Fleet f(std::move(options));
+  auto f = std::make_unique<fleet::Fleet>(std::move(options));
 
   fleet::PushCampaign campaign;
   campaign.sender_package = kCastPackages[2];
@@ -66,8 +66,16 @@ Observed run_fleet(const ScenarioProgram& program, fleet::Scheduler scheduler,
   campaign.period = sim::millis(673);
   campaign.pushes_per_device = 4;
   campaign.device_stagger = sim::millis(13);
-  f.broker().add_campaign(campaign);
+  f->broker().add_campaign(campaign);
+  return f;
+}
 
+/// One fleet replay with the program armed on every device.
+Observed run_fleet(const ScenarioProgram& program, fleet::Scheduler scheduler,
+                   int shards, bool trace) {
+  const std::unique_ptr<fleet::Fleet> fp =
+      make_fleet(program, scheduler, shards, 0, trace);
+  fleet::Fleet& f = *fp;
   f.start();
   // Arm between start() and the first run (driver-thread window). The
   // executors outlive the run: their closures fire from the fleet's
@@ -125,6 +133,35 @@ void compare(const char* leg, const Observed& reference, const Observed& got,
   }
 }
 
+/// The fleet.hibernation leg (see oracle.h): unarmed, untraced; snapshot
+/// digests against an unhibernated lockstep run, then each device restored
+/// by replay against its own snapshot.
+void check_hibernation(const ScenarioProgram& program,
+                       OracleVerdict* verdict) {
+  const sim::Duration horizon = sim::micros(program.horizon_us);
+  const std::unique_ptr<fleet::Fleet> reference =
+      make_fleet(program, fleet::Scheduler::kLockstep, 1, 0, false);
+  reference->start();
+  reference->run_for(horizon);
+  reference->finish();
+  Observed expected;
+  expected.digests = reference->energy_digests();
+
+  const std::unique_ptr<fleet::Fleet> parked =
+      make_fleet(program, fleet::Scheduler::kWorkStealing, 1, 1, false);
+  parked->start();
+  parked->run_for(horizon);
+  parked->finish();
+  Observed snapshots;
+  Observed restored;
+  for (int i = 0; i < kFleetDevices; ++i) {
+    snapshots.digests.push_back(parked->snapshot(i).energy_digest);
+    restored.digests.push_back(parked->device(i).energy_digest());
+  }
+  compare("fleet.hibernation snapshot", expected, snapshots, verdict);
+  compare("fleet.hibernation restore", snapshots, restored, verdict);
+}
+
 template <typename Fn>
 Observed timed(const char* leg, OracleVerdict* verdict, const Fn& fn) {
   const Stopwatch watch;
@@ -154,22 +191,10 @@ OracleVerdict run_oracle(const ScenarioProgram& program,
   if (options.single_legs) {
     const Observed reference =
         timed("single.reference", &verdict,
-              [&] { return run_single(program, true, true, trace); });
+              [&] { return run_single(program, trace); });
     compare("single.determinism", reference,
             timed("single.determinism", &verdict,
-                  [&] { return run_single(program, true, true, trace); }),
-            &verdict);
-    compare("single.hot_vs_baseline", reference,
-            timed("single.hot_vs_baseline", &verdict,
-                  [&] { return run_single(program, false, true, trace); }),
-            &verdict);
-    compare("single.fused_vs_virtual", reference,
-            timed("single.fused_vs_virtual", &verdict,
-                  [&] { return run_single(program, true, false, trace); }),
-            &verdict);
-    compare("single.baseline_virtual", reference,
-            timed("single.baseline_virtual", &verdict,
-                  [&] { return run_single(program, false, false, trace); }),
+                  [&] { return run_single(program, trace); }),
             &verdict);
 
     // Invariant leg: its own device, digest never compared (per-step
@@ -195,38 +220,33 @@ OracleVerdict run_oracle(const ScenarioProgram& program,
   if (options.fleet_legs) {
     const Observed reference =
         timed("fleet.reference", &verdict, [&] {
-          return run_fleet(program, fleet::Scheduler::kLockstep,
-                           fleet::FleetCore::kBaseline, 1, trace);
+          return run_fleet(program, fleet::Scheduler::kLockstep, 1, trace);
         });
     compare("fleet.shards4", reference,
             timed("fleet.shards4", &verdict,
                   [&] {
-                    return run_fleet(program, fleet::Scheduler::kLockstep,
-                                     fleet::FleetCore::kBaseline, 4, trace);
+                    return run_fleet(program, fleet::Scheduler::kLockstep, 4,
+                                     trace);
                   }),
             &verdict);
     compare("fleet.shards8", reference,
             timed("fleet.shards8", &verdict,
                   [&] {
-                    return run_fleet(program, fleet::Scheduler::kLockstep,
-                                     fleet::FleetCore::kBaseline, 8, trace);
+                    return run_fleet(program, fleet::Scheduler::kLockstep, 8,
+                                     trace);
                   }),
             &verdict);
     compare("fleet.work_stealing", reference,
             timed("fleet.work_stealing", &verdict,
                   [&] {
                     return run_fleet(program,
-                                     fleet::Scheduler::kWorkStealing,
-                                     fleet::FleetCore::kBaseline, 4, trace);
+                                     fleet::Scheduler::kWorkStealing, 4,
+                                     trace);
                   }),
             &verdict);
-    compare("fleet.batched", reference,
-            timed("fleet.batched", &verdict,
-                  [&] {
-                    return run_fleet(program, fleet::Scheduler::kLockstep,
-                                     fleet::FleetCore::kBatched, 2, trace);
-                  }),
-            &verdict);
+    const Stopwatch watch;
+    check_hibernation(program, &verdict);
+    verdict.timings.push_back({"fleet.hibernation", watch.seconds()});
   }
   return verdict;
 }

@@ -4,17 +4,26 @@
 // observationally identical, and the full-precision energy digests (and
 // trace bytes, when tracing is on) are compared bit for bit:
 //
-//   single-device legs — determinism (same spec twice), the hot
-//   (alloc-free) metering path vs the baseline path, the fused
-//   MeteringPipeline vs the virtual sink chain, and the baseline×virtual
-//   cross; plus an InvariantChecker leg that runs the full consistency
-//   check after every step (its digest is never compared — mid-run
-//   sampler flushes move window boundaries);
+//   single-device legs — determinism (same spec twice), plus an
+//   InvariantChecker leg that runs the full consistency check after
+//   every step, including conservation against the battery's ground
+//   truth (its digest is never compared — mid-run sampler flushes move
+//   window boundaries);
 //
-//   fleet legs — a 4-device lockstep/shards=1/per-device-heap reference
-//   against shard counts {4, 8}, the work-stealing scheduler, and the
-//   batched core (shared wheel + SoA slab + arena), with a push-broker
-//   campaign layered on top so cross-device injection is in play.
+//   fleet legs — a 4-device lockstep/shards=1 reference against shard
+//   counts {4, 8} and the work-stealing scheduler, with a push-broker
+//   campaign layered on top so cross-device injection is in play;
+//
+//   fleet.hibernation — a work-stealing fleet capped at ONE resident
+//   device, so every device is parked after its run and restored by
+//   replay. Its snapshot digests must equal an unhibernated lockstep
+//   run of the same fleet, and restoring each device through device(i)
+//   must reproduce its snapshot digest live. This leg runs the cast and
+//   the push campaign only: the program's steps are NOT armed, because
+//   armed executor closures point into a DeviceContext that parking
+//   destroys and replay cannot re-arm. It runs untraced, so the
+//   work-stealing window consolidation (off whenever a recorder is
+//   attached) is on the path it checks.
 //
 // Any mismatch is an equivalence bug by definition: every route shares
 // every summation and its order. The verdict lists one line per broken
@@ -31,11 +40,10 @@
 namespace eandroid::fuzz {
 
 struct OracleOptions {
-  /// Single-device legs (determinism, hot/baseline, fused/virtual, cross,
-  /// per-step invariants).
+  /// Single-device legs (determinism, per-step invariants).
   bool single_legs = true;
-  /// Fleet legs (shard counts, work-stealing, batched core). Heavier —
-  /// five 4-device fleet runs per program.
+  /// Fleet legs (shard counts, work-stealing, hibernation). Heavier —
+  /// six 4-device fleet runs plus four replay restores per program.
   bool fleet_legs = true;
   /// Record and compare trace bytes as well as digests.
   bool trace = true;

@@ -68,11 +68,13 @@ class Shrinker {
 
   /// Walks each step's a/b toward zero: try 0, then 1, then binary
   /// descent from the current value, keeping anything that still fails.
-  /// Range legality is delegated to validate() inside attempt().
+  /// Range legality is delegated to validate() inside attempt(); an
+  /// accepted candidate's repair() may drop steps — step i included — so
+  /// the bound is re-checked after every one.
   ScenarioProgram minimize_params(ScenarioProgram program) {
     for (std::size_t i = 0; i < program.steps.size(); ++i) {
       for (const bool is_a : {true, false}) {
-        while (true) {
+        while (i < program.steps.size()) {
           const std::int32_t current =
               is_a ? program.steps[i].a : program.steps[i].b;
           if (current <= 0) break;

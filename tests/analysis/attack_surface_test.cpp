@@ -11,7 +11,7 @@ framework::Manifest manifest_with(bool exported_activity,
                                   bool exported_service, bool wake_lock,
                                   bool write_settings) {
   framework::Manifest m;
-  m.package = "x";
+  m.package = "com.example.x";
   m.activities.push_back(
       framework::ActivityDecl{"Main", exported_activity, {}});
   if (exported_service) {

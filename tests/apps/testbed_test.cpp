@@ -23,8 +23,15 @@ TEST(TestbedTest, ContextOfSpawnsProcess) {
   bed.install<DemoApp>(message_spec());
   bed.start();
   EXPECT_FALSE(bed.server().pid_of(bed.uid_of("com.example.message")).valid());
-  bed.context_of("com.example.message");
+  const framework::Context& ctx = bed.context_of("com.example.message");
   EXPECT_TRUE(bed.server().pid_of(bed.uid_of("com.example.message")).valid());
+  EXPECT_EQ(ctx.uid(), bed.uid_of("com.example.message"));
+}
+
+TEST(TestbedTest, ContextOfUnknownPackageIsACheckedError) {
+  Testbed bed;
+  bed.start();
+  EXPECT_THROW((void)bed.context_of("no.such.pkg"), sim::CheckFailure);
 }
 
 TEST(TestbedTest, UidOfUnknownPackageInvalid) {

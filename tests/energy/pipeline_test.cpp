@@ -1,9 +1,8 @@
 // MeteringPipeline unit suite (the `metering` ctest label): fold order,
-// stage bracketing, the touched-view cell addressing, and fused-vs-virtual
-// bit-identity on a live testbed. The integration-scale 8-way matrix lives
-// in tests/integration/hotpath_equivalence_test.cpp; these tests pin the
-// pipeline's contracts at the component level where a violation has a
-// short, debuggable witness.
+// stage bracketing, the touched-view cell addressing, the dense column
+// sweeps against the profilers' own on_slice, and the unfused sink chain
+// on a live testbed. These tests pin the pipeline's contracts at the
+// component level where a violation has a short, debuggable witness.
 
 #include "energy/pipeline.h"
 
@@ -62,24 +61,6 @@ TEST(MeteringPipelineTest, TouchedViewAddressesTheSameCells) {
     EXPECT_EQ(view.parts[3][idx], slice.wifi_mj(idx));
     EXPECT_EQ(view.parts[4][idx], slice.audio_mj(idx));
   }
-}
-
-TEST(MeteringPipelineTest, TouchedViewAddressesSlabRows) {
-  sim::MonotonicArena arena;
-  EnergySlab slab(/*slots=*/3, arena);
-  EnergySlice slice;
-  slice.bind_slab(&slab, /*slot=*/1);
-  const kernelsim::AppIdx a = slice.ids().app_of(uid(10001));
-  const kernelsim::AppIdx b = slice.ids().app_of(uid(10007));
-  slice.part_at(b, HwPart::kAudio) += 7.5;
-  slice.part_at(a, HwPart::kCpu) += 1.5;
-  slice.seal();
-  const EnergySlice::TouchedView view = slice.touched_view();
-  EXPECT_EQ(view.parts[0], slab.row(0, 1));
-  EXPECT_EQ(view.parts[0][a], 1.5);
-  EXPECT_EQ(view.parts[4][b], 7.5);
-  EXPECT_EQ(view.parts[0][a], slice.cpu_mj(a));
-  EXPECT_EQ(view.parts[4][b], slice.audio_mj(b));
 }
 
 /// Stage stub that records when it ran relative to the fused cell pass,
@@ -146,10 +127,10 @@ TEST(MeteringPipelineTest, DirectStoreFoldIsBitIdenticalToTotalMj) {
 }
 
 TEST(MeteringPipelineTest, DenseColumnFoldsMatchVirtualFolds) {
-  // BatteryStats and PowerTutor fold as dense column sweeps in the fused
-  // route — every cell, touched or not. The result must be EXACTLY the
-  // virtual active-list fold: untouched cells are exact +0.0, so their
-  // `+= +0.0` terms are bitwise no-ops.
+  // BatteryStats and PowerTutor fold as dense column sweeps in the
+  // pipeline — every cell, touched or not. The result must be EXACTLY
+  // their own on_slice active-list fold: untouched cells are exact +0.0,
+  // so their `+= +0.0` terms are bitwise no-ops.
   const EnergySlice slice = make_slice();
   framework::PackageManager packages;
 
@@ -183,53 +164,45 @@ TEST(MeteringPipelineTest, DenseColumnFoldsMatchVirtualFolds) {
   }
 }
 
-/// One phone, one deterministic workload, both metering routes.
-std::string digest_with(bool fused) {
-  Testbed bed({.seed = 7, .fused_metering = fused});
-  apps::DemoAppSpec victim = apps::victim_spec();
-  victim.package = "com.pipeline.victim";
-  victim.foreground_cpu = 0.12;
-  victim.service_cpu = 0.25;
-  bed.install<DemoApp>(victim);
-  bed.start();
-  bed.server().user_launch("com.pipeline.victim");
-  bed.context_of("com.pipeline.victim")
-      .start_service(framework::Intent::explicit_for("com.pipeline.victim",
-                                                     DemoApp::kService));
-  bed.run_for(sim::seconds(30));
-  return bed.energy_digest();
-}
-
-TEST(MeteringPipelineTest, FusedDigestMatchesVirtualBitForBit) {
-  EXPECT_EQ(digest_with(true), digest_with(false));
-}
+/// Unfused sink that records how many slices the device's pipeline had
+/// folded when each slice reached it.
+struct FoldOrderProbe : AccountingSink {
+  const MeteringPipeline* pipeline = nullptr;
+  std::vector<std::uint64_t> folded_at_slice;
+  void on_slice(const EnergySlice&) override {
+    folded_at_slice.push_back(pipeline->slices_folded());
+  }
+};
 
 TEST(MeteringPipelineTest, UnfusedSinksStillRunAfterThePipeline) {
-  // A sink registered via add_sink (here: the timeline recorder, which
-  // stays unfused) must see every slice on the fused route and record
-  // exactly what it records on the virtual route.
-  auto rows_with = [](bool fused) {
-    Testbed bed({.seed = 11, .fused_metering = fused});
-    apps::DemoAppSpec victim = apps::victim_spec();
-    victim.package = "com.pipeline.victim";
-    bed.install<DemoApp>(victim);
-    TimelineRecorder timeline(bed.server().packages());
-    bed.sampler().add_sink(&timeline);
-    bed.start();
-    bed.server().user_launch("com.pipeline.victim");
-    bed.run_for(sim::seconds(10));
-    return timeline.rows();
-  };
-  const auto fused = rows_with(true);
-  const auto virt = rows_with(false);
-  ASSERT_FALSE(fused.empty());
-  ASSERT_EQ(fused.size(), virt.size());
-  for (std::size_t i = 0; i < fused.size(); ++i) {
-    EXPECT_EQ(fused[i].total_mj, virt[i].total_mj);
-    EXPECT_EQ(fused[i].screen_mj, virt[i].screen_mj);
-    EXPECT_EQ(fused[i].system_mj, virt[i].system_mj);
-    EXPECT_EQ(fused[i].apps, virt[i].apps);
+  // Sinks registered via add_sink (here: the timeline recorder, which
+  // stays outside the pipeline) must see every slice, each one after the
+  // pipeline folded it, and their rows must re-sum to what the fused
+  // profilers charged.
+  Testbed bed({.seed = 11});
+  apps::DemoAppSpec victim = apps::victim_spec();
+  victim.package = "com.pipeline.victim";
+  bed.install<DemoApp>(victim);
+  TimelineRecorder timeline(bed.server().packages());
+  bed.sampler().add_sink(&timeline);
+  FoldOrderProbe probe;
+  probe.pipeline = &bed.pipeline();
+  bed.sampler().add_sink(&probe);
+  bed.start();
+  bed.server().user_launch("com.pipeline.victim");
+  bed.run_for(sim::seconds(10));
+
+  const auto rows = timeline.rows();
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows.size(), bed.sampler().slices_emitted());
+  ASSERT_EQ(probe.folded_at_slice.size(), rows.size());
+  for (std::size_t i = 0; i < probe.folded_at_slice.size(); ++i) {
+    EXPECT_EQ(probe.folded_at_slice[i], i + 1) << "slice " << i;
   }
+  double total_mj = 0.0;
+  for (const auto& row : rows) total_mj += row.total_mj;
+  EXPECT_NEAR(total_mj, bed.battery_stats().total_mj(), 1e-6);
+  EXPECT_NEAR(total_mj, bed.power_tutor().total_mj(), 1e-6);
 }
 
 TEST(MeteringPipelineTest, PipelineCountsSlicesAndCells) {
@@ -241,21 +214,16 @@ TEST(MeteringPipelineTest, PipelineCountsSlicesAndCells) {
   bed.server().user_launch("com.pipeline.victim");
   bed.run_for(sim::seconds(5));
 
-  ASSERT_NE(bed.pipeline(), nullptr);
-  EXPECT_EQ(bed.pipeline()->slices_folded(), bed.sampler().slices_emitted());
-  EXPECT_GT(bed.pipeline()->cells_folded(), 0u);
+  EXPECT_EQ(bed.pipeline().slices_folded(), bed.sampler().slices_emitted());
+  EXPECT_GT(bed.pipeline().cells_folded(), 0u);
 
   const obs::MetricsSnapshot snap = bed.metrics_snapshot();
   const obs::MetricRow* folds = snap.find("energy.pipeline.folds");
   ASSERT_NE(folds, nullptr);
-  EXPECT_EQ(folds->count, bed.pipeline()->slices_folded());
+  EXPECT_EQ(folds->count, bed.pipeline().slices_folded());
   const obs::MetricRow* cells = snap.find("energy.pipeline.fused_cells");
   ASSERT_NE(cells, nullptr);
-  EXPECT_EQ(cells->count, bed.pipeline()->cells_folded());
-
-  // The virtual route constructs no pipeline at all.
-  Testbed virt({.seed = 3, .fused_metering = false});
-  EXPECT_EQ(virt.pipeline(), nullptr);
+  EXPECT_EQ(cells->count, bed.pipeline().cells_folded());
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(PowerSignatureTest, MissesCollateralAttackerButEAndroidCatchesIt) {
   bed.sampler().add_sink(&detector);
   bed.start();
 
-  bed.context_of(apps::BinderMalware::kPackage);
+  bed.server().ensure_process(bed.uid_of(apps::BinderMalware::kPackage));
   bed.server().user_launch(victim.package);
   bed.context_of(victim.package)
       .start_service(Intent::explicit_for(victim.package, DemoApp::kService));

@@ -105,21 +105,6 @@ TEST(DeviceContextTest, IsTheTestbedBitForBit) {
   EXPECT_EQ(drive(testbed), drive(device));
 }
 
-TEST(DeviceContextTest, BaselinePathMatchesHotPath) {
-  const auto run = [](bool hot_path) {
-    DeviceSpec spec;
-    spec.seed = 3;
-    spec.hot_path = hot_path;
-    DeviceContext device(spec);
-    device.install<DemoApp>(apps::message_spec());
-    device.start();
-    device.server().user_launch("com.example.message");
-    device.run_for(sim::seconds(45));
-    return device.energy_digest();
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
 TEST(FleetTest, SharedConfigIsOneObjectPerFleet) {
   Fleet fleet(small_fleet_options(/*devices=*/4, /*shards=*/2));
   fleet.start();

@@ -47,7 +47,7 @@ TEST_F(LmkTest, PriorityClasses) {
   bed_.server().user_launch("com.app.b");
   EXPECT_EQ(lmk.priority_of(bed_.uid_of("com.app.a")), 3);  // cached
   // A process with no components at all is "empty".
-  bed_.context_of("com.app.c");
+  bed_.server().ensure_process(bed_.uid_of("com.app.c"));
   EXPECT_EQ(lmk.priority_of(bed_.uid_of("com.app.c")), 4);
 }
 

@@ -95,7 +95,7 @@ TEST_F(PowerManagerTest, ReleaseTurnsScreenOffAfterTimeout) {
   sim_.run_for(sim::minutes(2));
   EXPECT_TRUE(server_.power().screen_on());
   EXPECT_TRUE(ctx("com.locker").release_wakelock(*lock));
-  server_.power();  // releasing past the timeout drops the screen now
+  // Releasing past the timeout drops the screen now.
   EXPECT_FALSE(server_.power().screen_on());
   EXPECT_TRUE(server_.power().suspended());
 }
@@ -132,14 +132,16 @@ TEST_F(PowerManagerTest, EventsCarryScreenFlag) {
   EventLog log(server_.events());
   const auto lock =
       ctx("com.locker").acquire_wakelock(WakelockType::kScreenDim, "t");
-  const FwEvent* acquire = log.last(FwEventType::kWakelockAcquire);
-  ASSERT_NE(acquire, nullptr);
-  EXPECT_TRUE(acquire->screen_wakelock);
-  EXPECT_EQ(acquire->driving, uid("com.locker"));
+  const FwEvent* acquired = log.last(FwEventType::kWakelockAcquire);
+  ASSERT_NE(acquired, nullptr);
+  // A copy: logging the release may reallocate the log's storage.
+  const FwEvent acquire = *acquired;
+  EXPECT_TRUE(acquire.screen_wakelock);
+  EXPECT_EQ(acquire.driving, uid("com.locker"));
   ctx("com.locker").release_wakelock(*lock);
   const FwEvent* release = log.last(FwEventType::kWakelockRelease);
   ASSERT_NE(release, nullptr);
-  EXPECT_EQ(release->handle, acquire->handle);
+  EXPECT_EQ(release->handle, acquire.handle);
 }
 
 TEST_F(PowerManagerTest, ScreenOffEventPublished) {

@@ -41,7 +41,7 @@ TEST(PushTest, PushWakesReceiverProcess) {
   bed.install<DemoApp>(sender);
   bed.start();
   // Register the endpoint (first run), then kill the process.
-  bed.context_of("com.receiver");
+  bed.server().ensure_process(bed.uid_of("com.receiver"));
   bed.server().kill_app(bed.uid_of("com.receiver"));
   ASSERT_FALSE(bed.server().pid_of(bed.uid_of("com.receiver")).valid());
 
@@ -57,7 +57,7 @@ TEST(PushTest, RadioLightsUpForTransferThenTails) {
   sender.package = "com.sender";
   bed.install<DemoApp>(sender);
   bed.start();
-  bed.context_of("com.receiver");
+  bed.server().ensure_process(bed.uid_of("com.receiver"));
   bed.context_of("com.sender").send_push("com.receiver");
   EXPECT_TRUE(bed.server().wifi().active());
   bed.sim().run_for(sim::seconds(2));
@@ -71,7 +71,7 @@ TEST(PushTest, DeliveryPublishesEventAndOpensWindow) {
   sender.package = "com.sender";
   bed.install<DemoApp>(sender);
   bed.start();
-  bed.context_of("com.receiver");
+  bed.server().ensure_process(bed.uid_of("com.receiver"));
   bed.context_of("com.sender").send_push("com.receiver");
   EXPECT_TRUE(bed.eandroid()->tracker().has_window(
       core::WindowKind::kPush, bed.uid_of("com.sender"),
@@ -88,7 +88,7 @@ TEST(PushTest, UnregisterStopsDelivery) {
   sender.package = "com.sender";
   bed.install<DemoApp>(sender);
   bed.start();
-  bed.context_of("com.receiver");
+  bed.server().ensure_process(bed.uid_of("com.receiver"));
   bed.server().push().unregister_endpoint(bed.uid_of("com.receiver"));
   EXPECT_FALSE(bed.context_of("com.sender").send_push("com.receiver"));
 }
@@ -114,7 +114,7 @@ TEST(PushTest, FloodDrainsMoreThanIdle) {
     auto* flooder = bed.install<apps::PushFlooderMalware>(
         "com.example.syncclient", sim::millis(500));
     bed.start();
-    bed.context_of("com.example.syncclient");
+    bed.server().ensure_process(bed.uid_of("com.example.syncclient"));
     (void)bed.context_of(apps::PushFlooderMalware::kPackage);
     if (flood) flooder->attack();
     bed.run_for(sim::minutes(2));

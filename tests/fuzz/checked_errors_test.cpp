@@ -53,18 +53,5 @@ TEST(CheckedErrorsTest, CampaignAfterWorkStealingStartThrows) {
   EXPECT_THROW(fleet.broker().add_campaign(campaign), sim::CheckFailure);
 }
 
-TEST(CheckedErrorsTest, HibernationPlusBatchedCoreThrows) {
-  // The oracle never combines them (armed executor closures could not
-  // survive a park/replay cycle, and the batched core pins group rows for
-  // the fleet's lifetime); the constructor must enforce the same rule.
-  fleet::FleetOptions options;
-  options.device_count = 4;
-  options.scheduler = fleet::Scheduler::kWorkStealing;
-  options.core = fleet::FleetCore::kBatched;
-  options.max_resident_devices = 2;
-  options.install_plan = cast_install_plan();
-  EXPECT_THROW(fleet::Fleet{std::move(options)}, sim::CheckFailure);
-}
-
 }  // namespace
 }  // namespace eandroid::fuzz

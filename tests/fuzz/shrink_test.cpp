@@ -98,6 +98,22 @@ TEST(ShrinkTest, CandidateBudgetBoundsTheWork) {
   EXPECT_LE(stats.candidates, 3);
 }
 
+TEST(ShrinkTest, StepIndependentFailureShrinksWithoutOverrunningTheSteps) {
+  // A failure no step carries (every program fails — the shape of a bug
+  // in a route that never replays the steps). Lowering a parameter can
+  // make repair() drop the very step being minimized, so parameter
+  // descent must re-check the step count after every accepted candidate.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    GeneratorOptions options;
+    options.seed = seed;
+    const ScenarioProgram program = generate(options);
+    const ScenarioProgram reduced =
+        shrink(program, [](const ScenarioProgram&) { return true; });
+    EXPECT_TRUE(validate(reduced)) << "seed " << seed;
+    EXPECT_LE(reduced.steps.size(), 1u) << "seed " << seed;
+  }
+}
+
 TEST(ShrinkTest, PassingProgramIsACheckedError) {
   GeneratorOptions options;
   options.seed = 5;

@@ -59,7 +59,7 @@ TEST(FailureInjectionTest, WakelockHolderDeathReleasesScreen) {
   Testbed bed;
   WakelockMalware* malware = bed.install<WakelockMalware>();
   bed.start();
-  bed.context_of(WakelockMalware::kPackage);
+  bed.server().ensure_process(bed.uid_of(WakelockMalware::kPackage));
   malware->attack();
   bed.sim().run_for(sim::minutes(2));
   ASSERT_TRUE(bed.server().power().screen_forced_by_wakelock());
@@ -83,7 +83,7 @@ TEST(FailureInjectionTest, BindingClientDeathFreesService) {
   BinderMalware* malware =
       bed.install<BinderMalware>(victim.package, DemoApp::kService);
   bed.start();
-  bed.context_of(BinderMalware::kPackage);
+  bed.server().ensure_process(bed.uid_of(BinderMalware::kPackage));
   bed.context_of(victim.package)
       .start_service(Intent::explicit_for(victim.package, DemoApp::kService));
   bed.sim().run_for(sim::seconds(1));
@@ -108,7 +108,7 @@ TEST(FailureInjectionTest, ServiceHostDeathClosesWindows) {
   bed.install<DemoApp>(victim);
   bed.install<BinderMalware>(victim.package, DemoApp::kService);
   bed.start();
-  bed.context_of(BinderMalware::kPackage);
+  bed.server().ensure_process(bed.uid_of(BinderMalware::kPackage));
   bed.context_of(victim.package)
       .start_service(Intent::explicit_for(victim.package, DemoApp::kService));
   bed.sim().run_for(sim::seconds(1));
@@ -209,7 +209,7 @@ TEST(FailureInjectionTest, ChainMemberDeathMidAttack) {
   BinderMalware* malware =
       bed.install<BinderMalware>(middle.package, DemoApp::kService);
   bed.start();
-  bed.context_of(BinderMalware::kPackage);
+  bed.server().ensure_process(bed.uid_of(BinderMalware::kPackage));
   bed.context_of(middle.package)
       .start_service(Intent::explicit_for(middle.package, DemoApp::kService));
   bed.run_for(sim::seconds(2));
@@ -233,7 +233,7 @@ TEST(FailureInjectionTest, BatteryExhaustionInsideCollateralWindow) {
   Testbed bed;
   WakelockMalware* malware = bed.install<WakelockMalware>();
   bed.start();
-  bed.context_of(WakelockMalware::kPackage);
+  bed.server().ensure_process(bed.uid_of(WakelockMalware::kPackage));
   malware->attack();
   bed.run_for(sim::minutes(1));
   ASSERT_GE(bed.eandroid()->tracker().open_count(), 1u);

@@ -5,6 +5,7 @@
 #include <array>
 #include <cstddef>
 #include <map>
+#include <ostream>
 #include <string>
 
 #include "apps/demo_app.h"
@@ -34,6 +35,13 @@ struct NamedScenario {
   const char* name;
   ScenarioFn fn;
 };
+
+// Print the scenario by name: gtest's default dumps the struct's bytes,
+// which are load addresses and so change from build to build, taking the
+// discovered CTest names with them.
+void PrintTo(const NamedScenario& scenario, std::ostream* os) {
+  *os << scenario.name;
+}
 
 constexpr std::array<NamedScenario, 12> kAllScenarios = {{
     {"scene1", run_scene1},

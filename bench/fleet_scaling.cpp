@@ -1,6 +1,6 @@
-// Fleet scaling profile: simulation throughput vs fleet size and
-// scheduler, plus the two memory stories — shared immutable config and
-// device hibernation.
+// Fleet scaling profile: simulation throughput vs fleet size under the
+// work-stealing scheduler, plus the two memory stories — shared
+// immutable config and device hibernation.
 //
 // Sections, written to BENCH_fleet.json:
 //
@@ -13,16 +13,15 @@
 //
 //   * scaling — device-simulated-seconds per wall second for fleets of
 //     8/32/128/1024 devices running a continuous push-campaign workload
-//     under BOTH schedulers (lockstep barriers vs work-stealing). Each
-//     row's simulated horizon is scaled so the timed region stays
+//     on the work-stealing scheduler (the serial reference has no
+//     threads to scale, so it has no rows). Each row's simulated horizon is scaled so the timed region stays
 //     >= 0.5 s of wall time, and every row is best-of-N (N = 5 below 128
 //     devices, where scheduler jitter dominates short rows; 3 above) —
 //     the committed numbers are stable enough to gate a >15% CI
 //     regression. Every row also reports steady-state heap allocations
 //     per device-epoch, measured over the second half of the run (the
 //     first half is warmup: retained buffers grow to their working-set
-//     sizes there). The 1024-device work-stealing row is the number CI
-//     gates against.
+//     sizes there). The 1024-device row is the number CI gates against.
 //
 //   * hibernation — the work-stealing scheduler with a 64-device
 //     resident cap, at 128 and 8192 devices: live heap bytes per PARKED
@@ -219,8 +218,7 @@ std::int64_t copied_leg_bytes_per_device(int n) {
 
 struct ScaleResult {
   int devices = 0;
-  const char* scheduler = "lockstep";
-  int threads = 0;  // shards (lockstep) or workers (work-stealing)
+  int threads = 0;  // executor workers
   std::int64_t sim_seconds = 0;
   double wall_s = 0.0;
   double device_sim_s_per_wall_s = 0.0;
@@ -231,13 +229,11 @@ struct ScaleResult {
   std::uint64_t pushes_delivered = 0;
 };
 
-ScaleResult run_fleet_once(int devices, fleet::Scheduler scheduler,
-                           int threads, std::int64_t sim_seconds) {
+ScaleResult run_fleet_once(int devices, int threads,
+                           std::int64_t sim_seconds) {
   reset_peak_rss();
   fleet::FleetOptions options;
   options.device_count = devices;
-  options.scheduler = scheduler;
-  options.shards = threads;
   options.workers = static_cast<unsigned>(threads);
   options.epoch = sim::seconds(5);
   options.install_plan =
@@ -264,9 +260,6 @@ ScaleResult run_fleet_once(int devices, fleet::Scheduler scheduler,
 
   ScaleResult result;
   result.devices = devices;
-  result.scheduler = scheduler == fleet::Scheduler::kWorkStealing
-                         ? "work_stealing"
-                         : "lockstep";
   result.threads = threads;
   result.sim_seconds = sim_seconds;
   result.wall_s = wall;
@@ -285,12 +278,11 @@ ScaleResult run_fleet_once(int devices, fleet::Scheduler scheduler,
   return result;
 }
 
-ScaleResult best_of(int devices, fleet::Scheduler scheduler, int threads) {
+ScaleResult best_of(int devices, int threads) {
   const std::int64_t sim_seconds = sim_seconds_for(devices);
   ScaleResult best;
   for (int rep = 0; rep < reps_for(devices); ++rep) {
-    const ScaleResult r =
-        run_fleet_once(devices, scheduler, threads, sim_seconds);
+    const ScaleResult r = run_fleet_once(devices, threads, sim_seconds);
     if (rep == 0 || r.wall_s < best.wall_s) best = r;
   }
   return best;
@@ -316,7 +308,6 @@ HibernationResult run_hibernating(int devices, int cap) {
   const std::int64_t heap_before = live_bytes();
   fleet::FleetOptions options;
   options.device_count = devices;
-  options.scheduler = fleet::Scheduler::kWorkStealing;
   options.workers = 4;
   options.max_resident_devices = cap;
   options.epoch = sim::seconds(5);
@@ -351,7 +342,7 @@ HibernationResult run_hibernating(int devices, int cap) {
 }  // namespace
 
 int main() {
-  std::printf("=== fleet scaling: push campaigns, both schedulers, "
+  std::printf("=== fleet scaling: push campaigns, work-stealing, "
               "best-of-%d/%d rows ===\n\n", reps_for(8), reps_for(1024));
 
   const std::int64_t shared_bpd =
@@ -370,26 +361,20 @@ int main() {
 
   const int sizes[] = {8, 32, 128, 1024};
   std::vector<ScaleResult> results;
-  std::printf("%8s %14s %8s %8s %9s %20s %11s %13s %9s\n", "devices",
-              "scheduler", "threads", "sim-s", "wall (s)",
+  std::printf("%8s %8s %8s %9s %20s %11s %13s %9s\n", "devices",
+              "threads", "sim-s", "wall (s)",
               "dev-sim-s / wall-s", "allocs/d-ep", "peak RSS/dev", "pushes");
   double gate_throughput = 0.0;
   for (const int n : sizes) {
-    const int threads = n >= 32 ? 4 : 2;
-    for (const fleet::Scheduler scheduler :
-         {fleet::Scheduler::kLockstep, fleet::Scheduler::kWorkStealing}) {
-      const ScaleResult r = best_of(n, scheduler, threads);
-      std::printf("%8d %14s %8d %8lld %9.3f %20.0f %11.2f %10lld kB %9llu\n",
-                  r.devices, r.scheduler, r.threads,
-                  static_cast<long long>(r.sim_seconds), r.wall_s,
-                  r.device_sim_s_per_wall_s, r.allocs_per_device_epoch,
-                  static_cast<long long>(r.peak_rss_kb_per_device),
-                  static_cast<unsigned long long>(r.pushes_delivered));
-      results.push_back(r);
-      if (n == 1024 && scheduler == fleet::Scheduler::kWorkStealing) {
-        gate_throughput = r.device_sim_s_per_wall_s;
-      }
-    }
+    const ScaleResult r = best_of(n, n >= 32 ? 4 : 2);
+    std::printf("%8d %8d %8lld %9.3f %20.0f %11.2f %10lld kB %9llu\n",
+                r.devices, r.threads,
+                static_cast<long long>(r.sim_seconds), r.wall_s,
+                r.device_sim_s_per_wall_s, r.allocs_per_device_epoch,
+                static_cast<long long>(r.peak_rss_kb_per_device),
+                static_cast<unsigned long long>(r.pushes_delivered));
+    results.push_back(r);
+    if (n == 1024) gate_throughput = r.device_sim_s_per_wall_s;
   }
 
   std::printf("\nhibernation (work-stealing, resident cap 64):\n");
@@ -423,14 +408,14 @@ int main() {
     for (std::size_t i = 0; i < results.size(); ++i) {
       const ScaleResult& r = results[i];
       std::fprintf(json,
-                   "    {\"devices\": %d, \"scheduler\": \"%s\", "
+                   "    {\"devices\": %d, \"scheduler\": \"work_stealing\", "
                    "\"threads\": %d, \"sim_seconds\": %lld, "
                    "\"wall_s\": %.4f, "
                    "\"device_sim_s_per_wall_s\": %.1f, "
                    "\"allocs_per_device_epoch\": %.2f, "
                    "\"peak_rss_kb_per_device\": %lld, "
                    "\"pushes_delivered\": %llu}%s\n",
-                   r.devices, r.scheduler, r.threads,
+                   r.devices, r.threads,
                    static_cast<long long>(r.sim_seconds), r.wall_s,
                    r.device_sim_s_per_wall_s, r.allocs_per_device_epoch,
                    static_cast<long long>(r.peak_rss_kb_per_device),

@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
 
   std::printf("oracle-leg breakdown (summed wall seconds):\n");
   for (const fuzz::LegTiming& leg : result.leg_seconds) {
-    std::printf("  %-24s %8.2fs\n", leg.leg.c_str(), leg.seconds);
+    std::printf("  %-28s %8.2fs\n", leg.leg.c_str(), leg.seconds);
   }
 
   int shrink_candidates = 0;

@@ -108,9 +108,21 @@ std::size_t TaskDeque::approx_size() const {
 // --- WorkStealingExecutor --------------------------------------------------
 
 namespace {
-/// Worker index for the current thread, or -1 on non-worker threads.
-/// File-scope so submit() can route to the calling worker's own deque.
-thread_local int t_worker_index = -1;
+/// The executor and worker index the current thread belongs to; null and
+/// -1 on non-worker threads. Executors nest (a ParallelRunner job on one
+/// executor builds a fleet with its own), so a thread is only a worker
+/// of the executor that spawned it: every other executor sees it as a
+/// driver thread.
+struct WorkerTag {
+  const WorkStealingExecutor* owner = nullptr;
+  int index = -1;
+};
+thread_local WorkerTag t_worker;
+
+/// The calling thread's worker index on `executor`, or -1.
+int own_worker_index(const WorkStealingExecutor* executor) {
+  return t_worker.owner == executor ? t_worker.index : -1;
+}
 
 std::uint64_t xorshift(std::uint64_t& state) {
   state ^= state << 13;
@@ -151,7 +163,7 @@ WorkStealingExecutor::~WorkStealingExecutor() {
 void WorkStealingExecutor::submit(Task task) {
   auto* heap_task = new Task(std::move(task));
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  const int index = t_worker_index;
+  const int index = own_worker_index(this);
   if (index >= 0) {
     // Worker self-submission (a device task re-queueing its next grain):
     // the owner's deque, no lock. Wake a parked thief if there is one —
@@ -169,7 +181,7 @@ void WorkStealingExecutor::submit(Task task) {
 
 void WorkStealingExecutor::submit_bulk(std::vector<Task> tasks) {
   if (tasks.empty()) return;
-  EANDROID_CHECK(t_worker_index < 0,
+  EANDROID_CHECK(own_worker_index(this) < 0,
                  "submit_bulk must be called from the driver thread");
   pending_.fetch_add(static_cast<std::int64_t>(tasks.size()),
                      std::memory_order_acq_rel);
@@ -259,7 +271,7 @@ void WorkStealingExecutor::run_task(Task* task) {
 }
 
 void WorkStealingExecutor::worker_loop(unsigned index) {
-  t_worker_index = static_cast<int>(index);
+  t_worker = {this, static_cast<int>(index)};
   Worker& w = *workers_[index];
   for (;;) {
     if (Task* task = find_task(w)) {
@@ -296,11 +308,10 @@ void WorkStealingExecutor::worker_loop(unsigned index) {
     parked_.fetch_sub(1, std::memory_order_relaxed);
     if (stop_) return;
   }
-  t_worker_index = -1;
 }
 
 void WorkStealingExecutor::wait_idle() {
-  EANDROID_CHECK(t_worker_index < 0,
+  EANDROID_CHECK(own_worker_index(this) < 0,
                  "wait_idle must be called from the driver thread");
   std::unique_lock<std::mutex> lock(idle_mu_);
   idle_cv_.wait(lock, [this] {

@@ -1,10 +1,9 @@
-// WorkStealingExecutor: the fleet's event-driven scheduler substrate.
+// WorkStealingExecutor: the repo's one thread executor.
 //
-// The ThreadPool next door is deliberately dumb — one mutex-guarded FIFO,
-// one future per task — which is the right shape for a handful of
-// whole-simulation jobs and the wrong shape for tens of thousands of
-// small per-device advance tasks. This executor is the other end of the
-// trade:
+// Two callers share it: the fleet, which submits tens of thousands of
+// small per-device advance tasks that requeue themselves, and
+// exp::ParallelRunner, which submits a handful of whole-simulation jobs.
+// The design serves the first shape and costs the second nothing:
 //
 //   * each worker owns a chase-lev deque (Chase & Lev, SPAA'05, with the
 //     C11-model orderings of Lê et al., PPoPP'13): the owner pushes and
@@ -13,10 +12,9 @@
 //     itself after an advance grain) lands on that worker's own deque —
 //     the LIFO hot path — and stays stealable by everyone else.
 //   * driver-side submissions go to a shared injection queue. Bulk
-//     submission appends the whole batch under ONE lock — this is the
-//     chunked fan-out path exp::ParallelRunner's chunk mode shares — and
-//     an idle worker refills by moving up to HALF of the injection queue
-//     into its own deque in one acquisition (steal-half), so a thousand
+//     submission appends the whole batch under ONE lock, and an idle
+//     worker refills by moving up to HALF of the injection queue into
+//     its own deque in one acquisition (steal-half), so a thousand
 //     device tasks cost a handful of lock operations, not a thousand.
 //   * workers that find every deque empty park on a condition variable
 //     and are unparked by the next submission; an idle executor burns no
@@ -28,6 +26,12 @@
 // milliseconds of simulation — so deque traffic is nowhere near the
 // bottleneck, and the stronger orderings keep the structure obviously
 // correct under ThreadSanitizer, which does not model standalone fences.
+//
+// Executors nest: a ParallelRunner job running on one executor may build
+// a work-stealing fleet with its own. A thread counts as a worker only of
+// the executor that spawned it, so to any other executor it is a driver
+// thread: its submissions go to the injection queue and it may call
+// submit_bulk() and wait_idle() there.
 //
 // Determinism contract: the executor guarantees each submitted task runs
 // exactly once, on some worker, at some time before wait_idle() returns —
@@ -116,8 +120,9 @@ class WorkStealingExecutor {
     return static_cast<unsigned>(threads_.size());
   }
 
-  /// Enqueues one task. From a worker thread this lands on the calling
-  /// worker's own deque (no lock); from any other thread it goes to the
+  /// Enqueues one task. From one of THIS executor's worker threads it
+  /// lands on the calling worker's own deque (no lock); from any other
+  /// thread, a worker of another executor included, it goes to the
   /// injection queue.
   void submit(Task task);
 
@@ -127,8 +132,8 @@ class WorkStealingExecutor {
 
   /// Blocks until every submitted task — including tasks submitted BY
   /// tasks, transitively — has finished. Rethrows the first task
-  /// exception (all other tasks still run to completion first). Must be
-  /// called from a non-worker thread.
+  /// exception (all other tasks still run to completion first). Must not
+  /// be called from one of this executor's own workers.
   void wait_idle();
 
   /// Snapshot of the lifetime counters (racy reads; exact once idle).

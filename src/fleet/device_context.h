@@ -8,10 +8,11 @@
 // fields, so a fleet's devices alias one PowerParams / Manifest set /
 // EngineConfig instead of copying them per device.
 //
-// Lockstep protocol (fleet/fleet.h): between epochs the driver thread may
-// touch the device (inject events, read state); within an epoch exactly
-// one worker advances it via advance_to(). The device itself has no
-// locks — the epoch barrier is the synchronization.
+// Fleet protocol (fleet/fleet.h): between runs the driver thread may
+// touch the device (inject events, read state); during a run exactly one
+// thread at a time injects into it and advances it via advance_to(). The
+// device itself has no locks — the fleet's per-device tasks and the
+// aggregation cut are the synchronization.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +63,8 @@ class DeviceContext {
     sampler_.flush();
   }
 
-  /// Lockstep epoch step: advances to an absolute instant WITHOUT closing
-  /// the sample window, so epoch boundaries leave no trace in the energy
+  /// Causal-window step: advances to an absolute instant WITHOUT closing
+  /// the sample window, so window boundaries leave no trace in the energy
   /// arithmetic (digests are independent of the fleet's epoch length).
   void advance_to(sim::TimePoint until) { sim_.run_until(until); }
 
@@ -128,7 +129,7 @@ class DeviceContext {
   /// profilers hold, plus the device-level rows, battery ground truth,
   /// tracker counters, and push deliveries. Two runs of the same spec and
   /// workload are observably identical iff their digests are equal — the
-  /// fleet's shard-independence tests compare these strings bitwise.
+  /// fleet's worker-independence tests compare these strings bitwise.
   [[nodiscard]] std::string energy_digest();
 
   /// Frozen accounting snapshot (requires E-Android; checked error

@@ -6,7 +6,7 @@
 // configuration the device aliases. That purity is the fleet's
 // determinism contract — two devices built from equal specs produce
 // bitwise-identical results no matter which thread advances them or how
-// the fleet is sharded.
+// the fleet schedules them.
 //
 // The shared_ptr<const> fields are the memory contract: PowerParams,
 // Manifests (inside the InstallPlan), and EngineConfig exist ONCE per

@@ -1,7 +1,6 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
-#include <future>
 #include <utility>
 
 #include "obs/trace.h"
@@ -14,8 +13,6 @@ FleetOptions normalized(FleetOptions options) {
   EANDROID_CHECK(options.device_count >= 1,
                  "Fleet needs at least one device, got "
                      << options.device_count);
-  EANDROID_CHECK(options.shards >= 1,
-                 "Fleet needs at least one shard, got " << options.shards);
   EANDROID_CHECK(options.epoch > sim::Duration(0),
                  "Fleet epoch must be positive");
   EANDROID_CHECK(options.max_resident_devices >= 0,
@@ -24,12 +21,6 @@ FleetOptions normalized(FleetOptions options) {
                      options.scheduler == Scheduler::kWorkStealing,
                  "hibernation (max_resident_devices > 0) requires the "
                  "work-stealing scheduler");
-  EANDROID_CHECK(options.advance_grain_windows >= 1,
-                 "advance_grain_windows must be >= 1");
-  options.shards = std::min(options.shards, options.device_count);
-  if (options.workers == 0) {
-    options.workers = static_cast<unsigned>(options.shards);
-  }
   if (options.params == nullptr) options.params = hw::shared_nexus4_params();
   if (options.engine_config == nullptr) {
     options.engine_config = shared_default_engine_config();
@@ -39,17 +30,14 @@ FleetOptions normalized(FleetOptions options) {
 }  // namespace
 
 Fleet::Fleet(FleetOptions options) : options_(normalized(std::move(options))) {
-  if (options_.scheduler == Scheduler::kLockstep) {
-    pool_ = std::make_unique<exp::ThreadPool>(
-        static_cast<unsigned>(options_.shards));
-  } else {
+  if (options_.scheduler == Scheduler::kWorkStealing) {
     exec_ = std::make_unique<exp::WorkStealingExecutor>(options_.workers);
   }
   slots_.resize(static_cast<std::size_t>(options_.device_count));
   if (!hibernating()) {
-    // Eager population: every device exists for the fleet's lifetime, the
-    // shape the lockstep baseline always had. Hibernating fleets build
-    // devices lazily — finish() materializes each exactly once.
+    // Eager population: every device exists for the fleet's lifetime.
+    // Hibernating fleets build devices lazily — finish() materializes
+    // each exactly once.
     for (int i = 0; i < options_.device_count; ++i) {
       slots_[static_cast<std::size_t>(i)].ctx =
           std::make_unique<DeviceContext>(make_spec(i));
@@ -61,8 +49,7 @@ Fleet::~Fleet() = default;
 
 DeviceSpec Fleet::make_spec(int i) const {
   DeviceSpec spec;
-  spec.seed = options_.base_seed +
-              static_cast<std::uint64_t>(i) * options_.seed_stride;
+  spec.seed = options_.base_seed + static_cast<std::uint64_t>(i);
   spec.device_index = i;
   spec.with_eandroid = options_.with_eandroid;
   spec.eandroid_mode = options_.eandroid_mode;
@@ -75,31 +62,18 @@ DeviceSpec Fleet::make_spec(int i) const {
 }
 
 template <typename Fn>
-void Fleet::for_each_device_sharded(Fn&& fn) {
-  const int shards = options_.shards;
-  std::vector<std::future<void>> done;
-  done.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    done.push_back(pool_->submit([this, s, shards, &fn] {
-      for (std::size_t i = static_cast<std::size_t>(s); i < slots_.size();
-           i += static_cast<std::size_t>(shards)) {
-        fn(*slots_[i].ctx, static_cast<int>(i));
-      }
-    }));
+void Fleet::for_each_slot(Fn&& fn) {
+  if (exec_ == nullptr) {
+    for (std::size_t i = 0; i < slots_.size(); ++i) fn(i);
+    return;
   }
-  // The barrier: rethrows the first shard failure on the driver thread.
-  for (std::future<void>& f : done) f.get();
-}
-
-template <typename Fn>
-void Fleet::for_each_slot_async(Fn&& fn) {
   std::vector<exp::WorkStealingExecutor::Task> tasks;
   tasks.reserve(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     tasks.push_back([&fn, i] { fn(i); });
   }
   exec_->submit_bulk(std::move(tasks));
-  // The aggregation cut: the ONLY cross-device barrier in async mode.
+  // The aggregation cut: the ONLY cross-device barrier.
   exec_->wait_idle();
 }
 
@@ -107,9 +81,9 @@ void Fleet::inject_device(DeviceContext& device, int index,
                           sim::TimePoint begin, sim::TimePoint end) {
   const std::uint64_t sends = broker_.inject(device, index, begin, end);
   // The trace marks (window boundary, sends injected) depend only on
-  // device_index and the window boundaries — never on sharding or the
-  // scheduler — so traced fleets keep the bitwise invariance contract
-  // across all of them.
+  // device_index and the window boundaries — never on the worker count
+  // or the scheduler — so traced fleets keep the bitwise invariance
+  // contract across all of them.
   [[maybe_unused]] obs::TraceRecorder* tr = device.obs().trace();
   EANDROID_TRACE_LIT(tr, begin.micros(), obs::TraceCategory::kFleet,
                      "fleet.epoch", -1, end.micros());
@@ -125,10 +99,6 @@ void Fleet::inject_device(DeviceContext& device, int index,
 void Fleet::start() {
   EANDROID_CHECK(!started_, "Fleet::start called twice");
   started_ = true;
-  if (options_.scheduler == Scheduler::kLockstep) {
-    for_each_device_sharded([](DeviceContext& device, int) { device.start(); });
-    return;
-  }
   // Workers read the campaign list concurrently from here on.
   broker_.freeze();
   if (hibernating()) {
@@ -142,7 +112,7 @@ void Fleet::start() {
     }
     return;
   }
-  for_each_slot_async([this](std::size_t i) {
+  for_each_slot([this](std::size_t i) {
     slots_[i].ctx->start();
     slots_[i].booted = true;
   });
@@ -186,9 +156,9 @@ void Fleet::advance_windows(DeviceContext& device, int index,
 
 void Fleet::advance_task(std::size_t i, std::size_t target) {
   DeviceSlot& slot = slots_[i];
-  const std::size_t stop =
-      std::min(target, slot.next_window + static_cast<std::size_t>(
-                                              options_.advance_grain_windows));
+  const std::size_t stop = std::min(
+      target,
+      slot.next_window + static_cast<std::size_t>(kAdvanceGrainWindows));
   advance_windows(*slot.ctx, static_cast<int>(i), slot.next_window, stop);
   slot.next_window = stop;
   if (stop < target) {
@@ -209,23 +179,16 @@ void Fleet::run_for(sim::Duration total) {
     clock_ = window_end;
   }
   if (options_.scheduler == Scheduler::kLockstep) {
-    // The retained baseline: inject/advance/barrier per window.
+    // The serial reference: per window, inject every device, then
+    // advance every device to the window end.
     for (std::size_t w = first_new; w < windows_.size(); ++w) {
       const sim::TimePoint begin = window_begin(w);
       const sim::TimePoint window_end = windows_[w];
-      // 1. Injection: devices are quiescent; cross-device events land on
-      //    each device's own queue, on the driver thread. The trace marks
-      //    (window boundary, sends injected) depend only on device_index
-      //    and the window boundaries — never on sharding — so traced
-      //    fleets keep the bitwise shard-invariance contract.
       for (std::size_t i = 0; i < slots_.size(); ++i) {
         inject_device(*slots_[i].ctx, static_cast<int>(i), begin,
                       window_end);
       }
-      // 2+3. Advance every shard to the window end, then barrier.
-      for_each_device_sharded([window_end](DeviceContext& device, int) {
-        device.advance_to(window_end);
-      });
+      for (DeviceSlot& slot : slots_) slot.ctx->advance_to(window_end);
       windows_advanced_.fetch_add(slots_.size(), std::memory_order_relaxed);
     }
     for (DeviceSlot& slot : slots_) slot.next_window = windows_.size();
@@ -245,7 +208,7 @@ void Fleet::run_for(sim::Duration total) {
   // through the new windows in grains, requeueing until caught up. No
   // per-window barrier — the wait inside is the aggregation cut.
   const std::size_t target = windows_.size();
-  for_each_slot_async([this, target](std::size_t i) {
+  for_each_slot([this, target](std::size_t i) {
     advance_task(i, target);
   });
 }
@@ -308,22 +271,16 @@ void Fleet::hibernate_task(std::size_t i) {
 }
 
 void Fleet::finish() {
-  if (options_.scheduler == Scheduler::kLockstep) {
-    for_each_device_sharded(
-        [](DeviceContext& device, int) { device.finish(); });
-    finished_ = true;
-    return;
-  }
   if (hibernating()) {
     EANDROID_CHECK(!finished_, "Fleet::finish called twice");
     // The materialization pass: every device runs its whole timeline in
     // one visit — construct, boot, windows, flush, snapshot, park. Peak
     // residency is the LRU cap plus the devices in flight on workers.
-    for_each_slot_async([this](std::size_t i) { hibernate_task(i); });
+    for_each_slot([this](std::size_t i) { hibernate_task(i); });
     finished_ = true;
     return;
   }
-  for_each_slot_async([this](std::size_t i) {
+  for_each_slot([this](std::size_t i) {
     slots_[i].ctx->finish();
     slots_[i].flushed = true;
   });
@@ -332,12 +289,6 @@ void Fleet::finish() {
 
 std::vector<std::string> Fleet::energy_digests() {
   std::vector<std::string> digests(slots_.size());
-  if (options_.scheduler == Scheduler::kLockstep) {
-    for_each_device_sharded([&digests](DeviceContext& device, int i) {
-      digests[static_cast<std::size_t>(i)] = device.energy_digest();
-    });
-    return digests;
-  }
   if (hibernating()) {
     EANDROID_CHECK(finished_,
                    "energy_digests on a hibernating fleet requires finish() "
@@ -352,13 +303,15 @@ std::vector<std::string> Fleet::energy_digests() {
     }
     return digests;
   }
-  for_each_slot_async([this, &digests](std::size_t i) {
+  for_each_slot([this, &digests](std::size_t i) {
     digests[i] = slots_[i].ctx->energy_digest();
   });
   return digests;
 }
 
 DeviceContext& Fleet::device(std::size_t i) {
+  EANDROID_CHECK(i < size(), "Fleet::device(" << i << ") out of range: the "
+                                 "fleet has " << size() << " devices");
   DeviceSlot& slot = slots_[i];
   if (hibernating()) {
     if (slot.ctx == nullptr) {
@@ -375,6 +328,12 @@ DeviceContext& Fleet::device(std::size_t i) {
     }
   }
   return *slot.ctx;
+}
+
+const DeviceSnapshot& Fleet::snapshot(std::size_t i) const {
+  EANDROID_CHECK(i < size(), "Fleet::snapshot(" << i << ") out of range: the "
+                                 "fleet has " << size() << " devices");
+  return slots_[i].snap;
 }
 
 std::size_t Fleet::resident_devices() const {

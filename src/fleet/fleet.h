@@ -1,4 +1,5 @@
-// Fleet: N simulated devices advanced by one of two schedulers.
+// Fleet: N simulated devices advanced by the work-stealing scheduler, or
+// by the serial reference that checks it.
 //
 // The multi-device layer the one-phone testbed grew into. A fleet builds
 // N DeviceContexts from one FleetOptions — every device aliases the SAME
@@ -10,24 +11,27 @@
 // run_for call appends windows at `epoch` granularity; how devices move
 // through them is the scheduler's business:
 //
-//   * kLockstep (default, the retained baseline): per window, the driver
-//     injects every device, then one ThreadPool job per shard advances
-//     its devices to the window end, then the driver joins — a barrier
-//     per window. Simple, and the differential anchor for everything
-//     below.
+//   * kWorkStealing (default, the production route): one task per device
+//     on a WorkStealingExecutor. Each task walks ITS device through the
+//     pending windows — inject, mark, advance — in grains of
+//     kAdvanceGrainWindows, requeueing itself on the worker's own deque
+//     until caught up. Devices run ahead of each other freely; the only
+//     barrier is the wait_idle() at the end of run_for (the aggregation
+//     cut). With tracing off a task also CONSOLIDATES runs of sendless
+//     windows into a single run_until (splitting run_until where nothing
+//     is injected is an identity), so idle devices cross long stretches
+//     in one hop.
 //
-//   * kWorkStealing: one task per device on a WorkStealingExecutor. Each
-//     task walks ITS device through the pending windows — inject, mark,
-//     advance — in grains of advance_grain_windows, requeueing itself on
-//     the worker's own deque until caught up. Devices run ahead of each
-//     other freely; the only barrier is the wait_idle() at the end of
-//     run_for (the aggregation cut). Because injection content is a pure
-//     function of (campaigns, device_index, window) and devices share no
-//     mutable state, the per-device event stream — and therefore every
-//     digest and trace byte — is identical to lockstep. With tracing off
-//     a task also CONSOLIDATES runs of sendless windows into a single
-//     run_until (splitting run_until where nothing is injected is an
-//     identity), so idle devices cross long stretches in one hop.
+//   * kLockstep (the serial reference): on the driver thread, per window,
+//     inject every device, then advance every device to the window end.
+//     No executor, no grains, no consolidation — the independent ground
+//     truth the differential tests and the fuzz oracle compare the
+//     production route against.
+//
+// Because injection content is a pure function of (campaigns,
+// device_index, window) and devices share no mutable state, the
+// per-device event stream — and therefore every digest and trace byte —
+// is identical under both.
 //
 // Hibernation (kWorkStealing + max_resident_devices > 0): run_for only
 // appends windows, and finish() materializes each device exactly once —
@@ -41,10 +45,10 @@
 //
 // Determinism: a device's event stream is a pure function of its spec
 // and the campaigns — injection content depends only on (device_index,
-// window boundaries), never on sharding, stealing, or eviction — so
-// per-device digests are bitwise identical across shard counts, worker
-// counts, schedulers, eviction schedules, and repeated runs. The
-// differential suites in tests/fleet/ pin exactly that.
+// window boundaries), never on worker count, stealing, or eviction — so
+// per-device digests are bitwise identical across worker counts,
+// schedulers, eviction schedules, and repeated runs. The differential
+// suites in tests/fleet/ pin exactly that.
 #pragma once
 
 #include <atomic>
@@ -55,7 +59,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/thread_pool.h"
 #include "exp/work_stealing.h"
 #include "fleet/device_context.h"
 #include "fleet/hibernation.h"
@@ -66,39 +69,34 @@ namespace eandroid::fleet {
 
 /// How the fleet moves devices through the causal-window timeline.
 enum class Scheduler {
-  kLockstep,      ///< inject/advance/barrier per window (baseline)
+  kLockstep,      ///< serial reference: inject all, advance all, per window
   kWorkStealing,  ///< per-device tasks on a work-stealing executor
 };
 
+/// Causal windows a work-stealing task advances before requeueing
+/// itself — the fairness/steal granularity.
+inline constexpr int kAdvanceGrainWindows = 8;
+
 struct FleetOptions {
   int device_count = 1;
-  /// Device i seeds its simulator with base_seed + i * seed_stride, so a
-  /// fleet is a deterministic population, not N clones (stride 0 IS the
-  /// N-clones configuration, useful for A/B-ing one workload).
+  /// Device i seeds its simulator with base_seed + i, so a fleet is a
+  /// deterministic population, not N clones.
   std::uint64_t base_seed = 1;
-  std::uint64_t seed_stride = 1;
 
-  /// Scheduler selection. Purely a throughput/memory knob: digests and
-  /// trace bytes are identical across schedulers.
-  Scheduler scheduler = Scheduler::kLockstep;
+  /// Scheduler selection: the production route or the serial reference.
+  /// Digests and trace bytes are identical across the two.
+  Scheduler scheduler = Scheduler::kWorkStealing;
 
-  /// Lockstep worker shards; devices are dealt round-robin (device i ->
-  /// shard i % shards). Results never depend on this.
-  int shards = 1;
-  /// Work-stealing worker threads; 0 means `shards` (so flipping the
-  /// scheduler flag alone compares equal thread budgets).
-  unsigned workers = 0;
+  /// Work-stealing worker threads; 0 means hardware concurrency. The
+  /// serial reference ignores it. Results never depend on it.
+  unsigned workers = 1;
   /// Hibernation working-set cap (kWorkStealing only): maximum finished
   /// DeviceContexts kept live; 0 disables hibernation entirely. With a
   /// cap, run_for defers all advancement to finish() so each device
   /// materializes once (see file comment).
   int max_resident_devices = 0;
-  /// Causal windows a work-stealing task advances before requeueing
-  /// itself — the fairness/steal granularity.
-  int advance_grain_windows = 8;
 
-  /// Causal-window length: the granularity of cross-device injection
-  /// (the lockstep epoch).
+  /// Causal-window length: the granularity of cross-device injection.
   sim::Duration epoch = sim::seconds(1);
 
   // Per-device knobs, identical across the fleet.
@@ -109,7 +107,7 @@ struct FleetOptions {
   /// registry; only the options are fleet-wide). With tracing on, the
   /// fleet marks window boundaries and push injections on every device's
   /// trace — both depend only on (device_index, window boundaries), so
-  /// trace bytes stay invariant across shard counts AND schedulers
+  /// trace bytes stay invariant across worker counts AND schedulers
   /// (tracing disables window consolidation).
   obs::ObsOptions obs{};
 
@@ -136,14 +134,15 @@ class Fleet {
   /// (never evicted afterwards) — external mutations through this
   /// reference cannot be reproduced by replay. Driver thread only,
   /// between runs. Prefer energy_digests() for bulk reads at scale.
+  /// Checked error if i >= size().
   [[nodiscard]] DeviceContext& device(std::size_t i);
 
   [[nodiscard]] const FleetOptions& options() const { return options_; }
   [[nodiscard]] PushBroker& broker() { return broker_; }
   [[nodiscard]] sim::TimePoint now() const { return clock_; }
 
-  /// Boots every device and starts its sampler. In work-stealing modes
-  /// this also freezes the broker (workers read campaigns concurrently).
+  /// Boots every device and starts its sampler, and freezes the broker
+  /// (workers read campaigns concurrently; one rule for both schedulers).
   /// Call once, before run_for.
   void start();
 
@@ -165,10 +164,9 @@ class Fleet {
   [[nodiscard]] std::vector<std::string> energy_digests();
 
   /// Parked-form record for device i; meaningful on hibernating fleets
-  /// after finish() (empty digest before the snapshot exists).
-  [[nodiscard]] const DeviceSnapshot& snapshot(std::size_t i) const {
-    return slots_[i].snap;
-  }
+  /// after finish() (empty digest before the snapshot exists). Checked
+  /// error if i >= size().
+  [[nodiscard]] const DeviceSnapshot& snapshot(std::size_t i) const;
 
   /// Live DeviceContexts right now (≤ device_count; the hibernation
   /// working set plus pinned devices on a parked fleet).
@@ -208,8 +206,8 @@ class Fleet {
   }
 
   /// Walks one device through windows [w_begin, w_end): inject, mark,
-  /// advance — the per-device sequence both schedulers share. With
-  /// tracing off, folds runs of sendless windows into one run_until.
+  /// advance. With tracing off, folds runs of sendless windows into one
+  /// run_until.
   void advance_windows(DeviceContext& device, int index, std::size_t w_begin,
                        std::size_t w_end);
   /// Work-stealing grain: advance slot i up to `target`, requeue if not
@@ -231,19 +229,15 @@ class Fleet {
   /// Destroys a parked context and resets its replay position.
   void evict(DeviceSlot& slot);
 
-  /// Runs `fn(device, index)` for every device, one lockstep pool job
-  /// per shard, and joins (the lockstep barrier).
+  /// Runs `fn(i)` for every slot: in index order on the driver thread
+  /// for the serial reference, otherwise as one bulk-submitted executor
+  /// task each followed by wait_idle (the aggregation cut).
   template <typename Fn>
-  void for_each_device_sharded(Fn&& fn);
-  /// Runs `fn(i)` for every slot as one bulk-submitted executor task
-  /// each, and waits idle (the work-stealing aggregation cut).
-  template <typename Fn>
-  void for_each_slot_async(Fn&& fn);
+  void for_each_slot(Fn&& fn);
 
   FleetOptions options_;
   std::vector<DeviceSlot> slots_;
   PushBroker broker_;
-  std::unique_ptr<exp::ThreadPool> pool_;            // lockstep only
   std::unique_ptr<exp::WorkStealingExecutor> exec_;  // work-stealing only
   /// Causal-window end boundaries, fleet-lifetime. windows_[w] closes
   /// window w; window_begin(w) opens it.

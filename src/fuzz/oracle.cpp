@@ -37,22 +37,21 @@ Observed run_single(const ScenarioProgram& program, bool trace) {
 
 constexpr int kFleetDevices = 4;
 
-/// The oracle's fleet: the cast on every device (device rng seeds differ
-/// via seed_stride, so the population is not N clones), with a push
+/// The oracle's fleet: the cast on every device (device i seeds
+/// program.seed + i, so the population is not N clones), with a push
 /// campaign layered on top to keep cross-device injection in play.
 /// Campaign instants sit off the 250 ms sampling grid (broker contract).
-/// `max_resident_devices` > 0 makes a hibernating work-stealing fleet.
+/// Work-stealing fleets run 4 workers; `max_resident_devices` > 0 makes
+/// one hibernate.
 std::unique_ptr<fleet::Fleet> make_fleet(const ScenarioProgram& program,
                                          fleet::Scheduler scheduler,
-                                         int shards, int max_resident_devices,
+                                         int max_resident_devices,
                                          bool trace) {
   fleet::FleetOptions options;
   options.device_count = kFleetDevices;
   options.base_seed = program.seed;
-  options.seed_stride = 1;
   options.scheduler = scheduler;
-  options.shards = shards;
-  if (scheduler == fleet::Scheduler::kWorkStealing) options.workers = 4;
+  options.workers = 4;
   options.max_resident_devices = max_resident_devices;
   options.epoch = sim::seconds(1);
   options.obs.trace = trace;
@@ -72,9 +71,9 @@ std::unique_ptr<fleet::Fleet> make_fleet(const ScenarioProgram& program,
 
 /// One fleet replay with the program armed on every device.
 Observed run_fleet(const ScenarioProgram& program, fleet::Scheduler scheduler,
-                   int shards, bool trace) {
+                   bool trace) {
   const std::unique_ptr<fleet::Fleet> fp =
-      make_fleet(program, scheduler, shards, 0, trace);
+      make_fleet(program, scheduler, 0, trace);
   fleet::Fleet& f = *fp;
   f.start();
   // Arm between start() and the first run (driver-thread window). The
@@ -113,34 +112,47 @@ class Stopwatch {
   std::chrono::steady_clock::time_point begin_;
 };
 
-void compare(const char* leg, const Observed& reference, const Observed& got,
-             OracleVerdict* verdict) {
-  for (std::size_t i = 0; i < reference.digests.size(); ++i) {
-    if (got.digests[i] != reference.digests[i]) {
-      std::ostringstream msg;
-      msg << leg << ": digest mismatch on device " << i;
-      verdict->failures.push_back(msg.str());
-      break;
-    }
+/// Adds one failure line if `got` differs from `want`: a size mismatch,
+/// or the first device whose string differs.
+void compare_each(const char* leg, const char* what,
+                  const std::vector<std::string>& want,
+                  const std::vector<std::string>& got,
+                  OracleVerdict* verdict) {
+  std::ostringstream msg;
+  if (got.size() != want.size()) {
+    msg << leg << ": " << got.size() << " " << what << "s, expected "
+        << want.size();
+    verdict->failures.push_back(msg.str());
+    return;
   }
-  for (std::size_t i = 0; i < reference.traces.size(); ++i) {
-    if (got.traces[i] != reference.traces[i]) {
-      std::ostringstream msg;
-      msg << leg << ": trace mismatch on device " << i;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got[i] != want[i]) {
+      msg << leg << ": " << what << " mismatch on device " << i;
       verdict->failures.push_back(msg.str());
-      break;
+      return;
     }
   }
 }
 
+/// Digests always; traces only when both sides recorded them (digests do
+/// not depend on tracing, so an untraced run checks against a traced
+/// reference by digest alone).
+void compare(const char* leg, const Observed& reference, const Observed& got,
+             OracleVerdict* verdict) {
+  compare_each(leg, "digest", reference.digests, got.digests, verdict);
+  if (!reference.traces.empty() && !got.traces.empty()) {
+    compare_each(leg, "trace", reference.traces, got.traces, verdict);
+  }
+}
+
 /// The fleet.hibernation leg (see oracle.h): unarmed, untraced; snapshot
-/// digests against an unhibernated lockstep run, then each device restored
-/// by replay against its own snapshot.
+/// digests against an unarmed serial-reference run, then each device
+/// restored by replay against its own snapshot.
 void check_hibernation(const ScenarioProgram& program,
                        OracleVerdict* verdict) {
   const sim::Duration horizon = sim::micros(program.horizon_us);
   const std::unique_ptr<fleet::Fleet> reference =
-      make_fleet(program, fleet::Scheduler::kLockstep, 1, 0, false);
+      make_fleet(program, fleet::Scheduler::kLockstep, 0, false);
   reference->start();
   reference->run_for(horizon);
   reference->finish();
@@ -148,7 +160,7 @@ void check_hibernation(const ScenarioProgram& program,
   expected.digests = reference->energy_digests();
 
   const std::unique_ptr<fleet::Fleet> parked =
-      make_fleet(program, fleet::Scheduler::kWorkStealing, 1, 1, false);
+      make_fleet(program, fleet::Scheduler::kWorkStealing, 1, false);
   parked->start();
   parked->run_for(horizon);
   parked->finish();
@@ -220,30 +232,26 @@ OracleVerdict run_oracle(const ScenarioProgram& program,
   if (options.fleet_legs) {
     const Observed reference =
         timed("fleet.reference", &verdict, [&] {
-          return run_fleet(program, fleet::Scheduler::kLockstep, 1, trace);
+          return run_fleet(program, fleet::Scheduler::kLockstep, trace);
         });
-    compare("fleet.shards4", reference,
-            timed("fleet.shards4", &verdict,
-                  [&] {
-                    return run_fleet(program, fleet::Scheduler::kLockstep, 4,
-                                     trace);
-                  }),
-            &verdict);
-    compare("fleet.shards8", reference,
-            timed("fleet.shards8", &verdict,
-                  [&] {
-                    return run_fleet(program, fleet::Scheduler::kLockstep, 8,
-                                     trace);
-                  }),
-            &verdict);
     compare("fleet.work_stealing", reference,
             timed("fleet.work_stealing", &verdict,
                   [&] {
-                    return run_fleet(program,
-                                     fleet::Scheduler::kWorkStealing, 4,
+                    return run_fleet(program, fleet::Scheduler::kWorkStealing,
                                      trace);
                   }),
             &verdict);
+    // Untraced, the work-stealing run consolidates sendless windows; with
+    // tracing off everywhere, fleet.work_stealing already is this leg.
+    if (trace) {
+      compare("fleet.work_stealing_untraced", reference,
+              timed("fleet.work_stealing_untraced", &verdict,
+                    [&] {
+                      return run_fleet(program,
+                                       fleet::Scheduler::kWorkStealing, false);
+                    }),
+              &verdict);
+    }
     const Stopwatch watch;
     check_hibernation(program, &verdict);
     verdict.timings.push_back({"fleet.hibernation", watch.seconds()});

@@ -10,13 +10,20 @@
 //   truth (its digest is never compared — mid-run sampler flushes move
 //   window boundaries);
 //
-//   fleet legs — a 4-device lockstep/shards=1 reference against shard
-//   counts {4, 8} and the work-stealing scheduler, with a push-broker
-//   campaign layered on top so cross-device injection is in play;
+//   fleet legs — a 4-device serial-reference fleet (kLockstep: no
+//   executor, no consolidation) against the 4-worker work-stealing
+//   scheduler, with a push-broker campaign layered on top so
+//   cross-device injection is in play;
+//
+//   fleet.work_stealing_untraced — the same armed work-stealing fleet
+//   with tracing off, so window consolidation (off whenever a recorder
+//   is attached) runs on the checked path. Digests only: they do not
+//   depend on tracing. Skipped when the oracle runs untraced, because
+//   fleet.work_stealing is then this leg;
 //
 //   fleet.hibernation — a work-stealing fleet capped at ONE resident
 //   device, so every device is parked after its run and restored by
-//   replay. Its snapshot digests must equal an unhibernated lockstep
+//   replay. Its snapshot digests must equal an unarmed serial-reference
 //   run of the same fleet, and restoring each device through device(i)
 //   must reproduce its snapshot digest live. This leg runs the cast and
 //   the push campaign only: the program's steps are NOT armed, because
@@ -42,8 +49,9 @@ namespace eandroid::fuzz {
 struct OracleOptions {
   /// Single-device legs (determinism, per-step invariants).
   bool single_legs = true;
-  /// Fleet legs (shard counts, work-stealing, hibernation). Heavier —
-  /// six 4-device fleet runs plus four replay restores per program.
+  /// Fleet legs (work-stealing traced and untraced, hibernation).
+  /// Heavier — five 4-device fleet runs plus four replay restores per
+  /// program.
   bool fleet_legs = true;
   /// Record and compare trace bytes as well as digests.
   bool trace = true;

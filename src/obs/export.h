@@ -2,7 +2,7 @@
 //
 //   text_trace()   — one line per event, `@t_us category name uid=U arg=A`.
 //                    The byte stream depends only on the recorded events,
-//                    so it is stable across shard counts and schedulers
+//                    so it is stable across worker counts and schedulers
 //                    and diffs cleanly (the golden-trace suite stores
 //                    exactly these bytes).
 //   chrome_trace() — Chrome trace_event JSON (the "JSON Array Format"),

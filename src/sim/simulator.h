@@ -39,7 +39,7 @@ class Simulator {
 
   /// Schedules `cb` at an absolute instant. Scheduling in the past is a
   /// checked error (it used to clamp to now_ silently, which let ordering
-  /// bugs masquerade as same-instant events — fleet lockstep epochs rely
+  /// bugs masquerade as same-instant events — fleet causal windows rely
   /// on every injected instant being honest). Callers that legitimately
   /// mean "this instant or as soon as possible" use schedule_at_or_now.
   EventHandle schedule_at(TimePoint when, EventQueue::Callback cb) {

@@ -3,25 +3,28 @@
 //     worker self-submission (requeue chains), and randomized stealing;
 //   * wait_idle() covers tasks submitted BY tasks, transitively, and
 //     rethrows the first task exception after everything else finishes;
-//   * the executor is reusable across dispatch waves (park/unpark);
-//   * the raw TaskDeque loses nothing under a concurrent owner + thieves;
-//   * ParallelRunner's chunked-submission mode is bitwise identical to
-//     the serial reference (the shared fan-out-granularity satellite).
+//   * the executor is reusable across dispatch waves (park/unpark), and
+//     its destructor joins the workers;
+//   * executors nest: a task on one executor can drive another one
+//     (bulk submit, requeue, wait_idle) the way a ParallelRunner job
+//     drives a work-stealing fleet;
+//   * the raw TaskDeque loses nothing under a concurrent owner + thieves.
 //
 // This file rides in exp_tests under the `tsan` label: a ThreadSanitizer
 // build executes the same interleavings with race detection on, which is
 // the real point — the deque's conservative orderings must be clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "exp/parallel_runner.h"
 #include "exp/work_stealing.h"
 
 namespace eandroid::exp {
@@ -40,6 +43,17 @@ TEST(WorkStealingExecutorTest, EveryTaskRunsExactlyOnce) {
     ASSERT_EQ(runs[i].load(), 1) << "task " << i;
   }
   EXPECT_EQ(executor.stats().executed, static_cast<std::uint64_t>(kTasks));
+}
+
+// The executor used as a plain fire-and-wait task pool.
+TEST(ThreadPoolTest, RunsEveryTask) {
+  WorkStealingExecutor pool(4);
+  std::atomic<int> count{0};
+  for (int i = 0; i < 100; ++i) {
+    pool.submit([&count] { ++count; });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(count.load(), 100);
 }
 
 TEST(WorkStealingExecutorTest, BulkSubmitRunsTheWholeBatch) {
@@ -112,6 +126,67 @@ TEST(WorkStealingExecutorTest, ReusableAcrossDispatchWaves) {
   }
 }
 
+TEST(WorkStealingExecutorTest, ZeroMeansHardwareConcurrencyNeverZeroWorkers) {
+  WorkStealingExecutor executor(0);
+  EXPECT_GE(executor.workers(), 1u);
+  EXPECT_EQ(executor.workers(),
+            std::max(1u, std::thread::hardware_concurrency()));
+  std::atomic<int> ran{0};
+  executor.submit([&ran] { ran.fetch_add(1); });
+  executor.wait_idle();
+  EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(WorkStealingExecutorTest, DestructionJoinsWithoutDeadlock) {
+  std::atomic<int> ran{0};
+  {
+    WorkStealingExecutor executor(3);
+    for (int i = 0; i < 12; ++i) {
+      executor.submit([&ran] { ran.fetch_add(1); });
+    }
+    executor.wait_idle();
+  }  // ~WorkStealingExecutor joins here, with every worker parked
+  EXPECT_EQ(ran.load(), 12);
+}
+
+TEST(WorkStealingExecutorTest, TaskCanDriveANestedExecutor) {
+  // A task on executor A builds executor B, bulk-submits to it, lets B's
+  // tasks requeue themselves, submits one more task from A's worker and
+  // waits B idle. To B, A's worker is a driver thread: the driver-thread
+  // checks pass, and its submit() goes to B's injection queue rather than
+  // to B's deque with A's worker index.
+  constexpr int kOuter = 3;
+  constexpr int kChains = 8;
+  constexpr int kLinks = 10;
+  WorkStealingExecutor outer(2);
+  std::vector<std::atomic<int>> done(kOuter);
+  for (auto& d : done) d.store(0);
+  std::vector<WorkStealingExecutor::Task> jobs;
+  for (int j = 0; j < kOuter; ++j) {
+    jobs.push_back([&done, j] {
+      WorkStealingExecutor inner(2);
+      std::atomic<int> links{0};
+      std::function<void(int)> link = [&](int left) {
+        links.fetch_add(1);
+        if (left > 1) inner.submit([&link, left] { link(left - 1); });
+      };
+      std::vector<WorkStealingExecutor::Task> chains;
+      for (int c = 0; c < kChains; ++c) {
+        chains.push_back([&link] { link(kLinks); });
+      }
+      inner.submit_bulk(std::move(chains));
+      inner.submit([&links] { links.fetch_add(1); });
+      inner.wait_idle();
+      done[j].store(links.load());
+    });
+  }
+  outer.submit_bulk(std::move(jobs));
+  outer.wait_idle();
+  for (int j = 0; j < kOuter; ++j) {
+    EXPECT_EQ(done[j].load(), kChains * kLinks + 1) << "outer task " << j;
+  }
+}
+
 TEST(TaskDequeTest, OwnerAndThievesPartitionTheTasks) {
   // One owner pushes/pops, three thieves steal concurrently; every
   // pushed value is consumed exactly once across the four threads.
@@ -153,41 +228,6 @@ TEST(TaskDequeTest, OwnerAndThievesPartitionTheTasks) {
 
   for (int i = 0; i < kValues; ++i) {
     ASSERT_EQ(seen[i].load(), 1) << "value " << i;
-  }
-}
-
-TEST(ParallelRunnerChunkTest, ChunkedRunMatchesSerialBitwise) {
-  constexpr std::size_t kJobs = 512;
-  std::vector<ParallelRunner<std::string>::Job> jobs;
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    jobs.push_back([i] { return "job-" + std::to_string(i * i); });
-  }
-  const std::vector<std::string> serial =
-      ParallelRunner<std::string>::run_serial(jobs);
-  RunnerOptions options;
-  options.threads = 4;
-  options.chunk = 16;
-  EXPECT_EQ(ParallelRunner<std::string>(options).run(jobs), serial);
-  options.chunk = 1000;  // one block holds everything
-  EXPECT_EQ(ParallelRunner<std::string>(options).run(jobs), serial);
-}
-
-TEST(ParallelRunnerChunkTest, ChunkedRunRethrowsLowestIndexError) {
-  std::vector<ParallelRunner<int>::Job> jobs;
-  for (int i = 0; i < 64; ++i) {
-    jobs.push_back([i]() -> int {
-      if (i == 11 || i == 50) throw std::runtime_error(std::to_string(i));
-      return i;
-    });
-  }
-  RunnerOptions options;
-  options.threads = 3;
-  options.chunk = 8;
-  try {
-    ParallelRunner<int>(options).run(std::move(jobs));
-    FAIL() << "expected a job exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "11");
   }
 }
 

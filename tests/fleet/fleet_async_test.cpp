@@ -1,24 +1,28 @@
-// The work-stealing scheduler's contract: flipping FleetOptions away
-// from lockstep changes throughput and memory, never results.
+// The work-stealing scheduler's contract: against the serial reference
+// (kLockstep) it changes throughput and memory, never results.
 //
-//   * digests are bitwise identical to lockstep across worker counts,
-//     advance grains, and multi-call run_for timelines;
-//   * with tracing on, the per-device trace BYTES match lockstep too
-//     (consolidation only triggers with tracing off);
+//   * digests are bitwise identical to the reference across worker
+//     counts, multi-call run_for timelines, and runs long enough that
+//     every device task requeues itself;
+//   * with tracing on, the per-device trace BYTES match the reference
+//     too (consolidation only triggers with tracing off);
 //   * hibernation (snapshot → evict → replay-restore) is digest-invariant
 //     across eviction schedules, and restoring a parked device rebuilds
 //     bit-identical state;
 //   * devices handed out via device(i) are pinned: external mutations
 //     survive (they are never replayed away);
-//   * campaign mutation after an async start is a checked error.
+//   * campaign mutation after start is a checked error on both
+//     schedulers.
 //
 // Runs under the tsan label with multi-worker fleets: the executor's
 // deques, the broker's frozen read path, and the hibernation LRU are the
 // entire race surface.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/demo_app.h"
@@ -61,12 +65,20 @@ PushCampaign flood_campaign(int pushes_per_device) {
   return campaign;
 }
 
-FleetOptions base_options(int devices) {
+/// A work-stealing fleet (the default scheduler) with `workers` threads.
+FleetOptions base_options(int devices, unsigned workers = 2) {
   FleetOptions options;
   options.device_count = devices;
+  options.workers = workers;
   options.install_plan = campaign_plan();
   options.epoch = sim::seconds(2);
-  options.shards = 2;
+  return options;
+}
+
+/// The same fleet on the serial reference.
+FleetOptions reference_options(int devices) {
+  FleetOptions options = base_options(devices);
+  options.scheduler = Scheduler::kLockstep;
   return options;
 }
 
@@ -82,29 +94,59 @@ std::vector<std::string> run_fleet(FleetOptions options) {
   return fleet.energy_digests();
 }
 
-TEST(FleetAsyncTest, DigestsMatchLockstepAcrossWorkerCountsAndGrains) {
-  const std::vector<std::string> lockstep = run_fleet(base_options(16));
-  ASSERT_EQ(lockstep.size(), 16u);
+TEST(FleetAsyncTest, DigestsMatchTheReferenceAcrossWorkerCounts) {
+  const std::vector<std::string> reference = run_fleet(reference_options(16));
+  ASSERT_EQ(reference.size(), 16u);
   for (const unsigned workers : {1u, 2u, 4u}) {
-    FleetOptions options = base_options(16);
-    options.scheduler = Scheduler::kWorkStealing;
-    options.workers = workers;
-    EXPECT_EQ(run_fleet(options), lockstep) << "workers=" << workers;
+    EXPECT_EQ(run_fleet(base_options(16, workers)), reference)
+        << "workers=" << workers;
   }
-  FleetOptions fine_grain = base_options(16);
-  fine_grain.scheduler = Scheduler::kWorkStealing;
-  fine_grain.workers = 3;
-  fine_grain.advance_grain_windows = 1;
-  EXPECT_EQ(run_fleet(fine_grain), lockstep);
+}
+
+TEST(FleetAsyncTest, LongRunsRequeueAndMatchTheReference) {
+  // 30 windows per run_for: every device task advances
+  // kAdvanceGrainWindows windows, requeues itself, and is caught up after
+  // ceil(30 / kAdvanceGrainWindows) tasks — with stealing in play.
+  constexpr int kDevices = 16;
+  constexpr int kWindows = 30;
+  constexpr int kGrains =
+      (kWindows + kAdvanceGrainWindows - 1) / kAdvanceGrainWindows;
+  static_assert(kGrains > 1);
+  const auto run = [](FleetOptions options, std::uint64_t* run_tasks) {
+    Fleet fleet(std::move(options));
+    fleet.broker().add_campaign(flood_campaign(8));
+    fleet.start();
+    const auto executed = [&fleet] {
+      const obs::MetricsSnapshot metrics = fleet.scheduler_metrics();
+      const obs::MetricRow* row = metrics.find("fleet.sched.tasks_executed");
+      return row == nullptr ? 0 : row->count;
+    };
+    const std::uint64_t before = executed();
+    fleet.run_for(sim::seconds(2 * kWindows));
+    *run_tasks = executed() - before;
+    fleet.finish();
+    return fleet.energy_digests();
+  };
+  std::uint64_t reference_tasks = 0;
+  const std::vector<std::string> reference =
+      run(reference_options(kDevices), &reference_tasks);
+  EXPECT_EQ(reference_tasks, 0u);  // the serial reference has no executor
+  for (const unsigned workers : {1u, 3u}) {
+    std::uint64_t tasks = 0;
+    EXPECT_EQ(run(base_options(kDevices, workers), &tasks), reference)
+        << "workers=" << workers;
+    EXPECT_EQ(tasks, static_cast<std::uint64_t>(kDevices * kGrains))
+        << "workers=" << workers;
+  }
 }
 
 TEST(FleetAsyncTest, TraceBytesMatchLockstep) {
-  // Tracing disables window consolidation, so the async scheduler must
-  // emit the exact per-window mark sequence the lockstep driver does.
+  // Tracing disables window consolidation, so the work-stealing scheduler
+  // must emit the exact per-window mark sequence the serial reference
+  // does.
   const auto run = [](Scheduler scheduler) {
-    FleetOptions options = base_options(6);
+    FleetOptions options = base_options(6, /*workers=*/3);
     options.scheduler = scheduler;
-    options.workers = 3;
     options.obs.trace = true;
     Fleet fleet(options);
     fleet.broker().add_campaign(flood_campaign(5));
@@ -121,24 +163,16 @@ TEST(FleetAsyncTest, TraceBytesMatchLockstep) {
 }
 
 TEST(FleetAsyncTest, HibernationIsDigestInvariantAcrossEvictionSchedules) {
-  const std::vector<std::string> lockstep = run_fleet(base_options(12));
+  const std::vector<std::string> reference = run_fleet(reference_options(12));
   for (const int cap : {1, 3, 12}) {
-    for (const int grain : {1, 8}) {
-      FleetOptions options = base_options(12);
-      options.scheduler = Scheduler::kWorkStealing;
-      options.workers = 2;
-      options.max_resident_devices = cap;
-      options.advance_grain_windows = grain;
-      EXPECT_EQ(run_fleet(options), lockstep)
-          << "cap=" << cap << " grain=" << grain;
-    }
+    FleetOptions options = base_options(12);
+    options.max_resident_devices = cap;
+    EXPECT_EQ(run_fleet(options), reference) << "cap=" << cap;
   }
 }
 
 TEST(FleetAsyncTest, HibernationParksDevicesAndRestoresByReplay) {
   FleetOptions options = base_options(10);
-  options.scheduler = Scheduler::kWorkStealing;
-  options.workers = 2;
   options.max_resident_devices = 3;
   Fleet fleet(options);
   fleet.broker().add_campaign(flood_campaign(8));
@@ -191,13 +225,11 @@ TEST(FleetAsyncTest, TouchedDevicesArePinnedNotReplayedAway) {
     return fleet.energy_digests();
   };
   FleetOptions hib = base_options(8);
-  hib.scheduler = Scheduler::kWorkStealing;
-  hib.workers = 2;
   hib.max_resident_devices = 2;
-  const std::vector<std::string> lockstep = run(base_options(8), true);
-  EXPECT_EQ(run(std::move(hib), true), lockstep);
+  const std::vector<std::string> reference = run(reference_options(8), true);
+  EXPECT_EQ(run(std::move(hib), true), reference);
   // Sanity: the poke was observable at all.
-  EXPECT_NE(lockstep[2], run(base_options(8), false)[2]);
+  EXPECT_NE(reference[2], run(reference_options(8), false)[2]);
 }
 
 TEST(FleetAsyncTest, AggregateWorksOnAHibernatingFleet) {
@@ -210,34 +242,26 @@ TEST(FleetAsyncTest, AggregateWorksOnAHibernatingFleet) {
     return aggregate_fleet(fleet).digest();
   };
   FleetOptions hib = base_options(6);
-  hib.scheduler = Scheduler::kWorkStealing;
-  hib.workers = 2;
   hib.max_resident_devices = 2;
-  EXPECT_EQ(report_digest(std::move(hib)), report_digest(base_options(6)));
+  EXPECT_EQ(report_digest(std::move(hib)),
+            report_digest(reference_options(6)));
 }
 
 TEST(FleetAsyncTest, CampaignAfterAsyncStartIsACheckedError) {
-  FleetOptions options = base_options(2);
-  options.scheduler = Scheduler::kWorkStealing;
-  Fleet fleet(options);
-  fleet.broker().add_campaign(flood_campaign(2));
-  fleet.start();
-  EXPECT_THROW(fleet.broker().add_campaign(flood_campaign(2)),
-               sim::CheckFailure);
-  // Lockstep keeps the old latitude: no freeze, no error.
-  Fleet lockstep(base_options(2));
-  lockstep.broker().add_campaign(flood_campaign(2));
-  lockstep.start();
-  lockstep.broker().add_campaign(flood_campaign(2));
+  // One rule on both schedulers: start() freezes the broker.
+  for (const FleetOptions& options : {base_options(2), reference_options(2)}) {
+    Fleet fleet(options);
+    fleet.broker().add_campaign(flood_campaign(2));
+    fleet.start();
+    EXPECT_THROW(fleet.broker().add_campaign(flood_campaign(2)),
+                 sim::CheckFailure);
+  }
 }
 
 TEST(FleetAsyncTest, ConsolidationSkipsSendlessWindows) {
   // A campaign confined to the first seconds of a long run leaves a tail
   // of sendless windows; with tracing off the scheduler must fold them.
-  FleetOptions options = base_options(4);
-  options.scheduler = Scheduler::kWorkStealing;
-  options.workers = 2;
-  Fleet fleet(options);
+  Fleet fleet(base_options(4));
   PushCampaign campaign = flood_campaign(3);
   fleet.broker().add_campaign(campaign);
   fleet.start();
@@ -246,14 +270,13 @@ TEST(FleetAsyncTest, ConsolidationSkipsSendlessWindows) {
   const obs::MetricsSnapshot metrics = fleet.scheduler_metrics();
   ASSERT_NE(metrics.find("fleet.sched.windows_consolidated"), nullptr);
   EXPECT_GT(metrics.find("fleet.sched.windows_consolidated")->count, 0u);
-  // Consolidated or not, the digests match the lockstep reference.
-  FleetOptions reference = base_options(4);
-  Fleet lockstep(reference);
-  lockstep.broker().add_campaign(campaign);
-  lockstep.start();
-  lockstep.run_for(sim::seconds(60));
-  lockstep.finish();
-  EXPECT_EQ(fleet.energy_digests(), lockstep.energy_digests());
+  // Consolidated or not, the digests match the serial reference.
+  Fleet reference(reference_options(4));
+  reference.broker().add_campaign(campaign);
+  reference.start();
+  reference.run_for(sim::seconds(60));
+  reference.finish();
+  EXPECT_EQ(fleet.energy_digests(), reference.energy_digests());
 }
 
 }  // namespace

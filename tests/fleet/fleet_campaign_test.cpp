@@ -1,11 +1,12 @@
 // The fleet acceptance run: a 1,000-device population runs a
 // 10-simulated-minute push-campaign workload to completion in a single
 // process, and every device's full-precision energy digest is bitwise
-// identical across shard counts {1, 4, 8} and across two repeated runs.
+// identical between the serial reference and the work-stealing scheduler
+// at worker counts {1, 4, 8}, and across two repeated runs.
 //
 // This is the scale contract of the fleet layer — kept out of the tsan
 // label (a sanitized build would multiply the runtime ~20x; the
-// smaller shard-independence tests in fleet_test.cpp cover the race
+// smaller worker-independence tests in fleet_test.cpp cover the race
 // surface under TSan with the same code paths).
 #include <gtest/gtest.h>
 
@@ -39,10 +40,12 @@ std::shared_ptr<const InstallPlan> campaign_plan() {
   return plan;
 }
 
-std::vector<std::string> run_campaign(int shards) {
+std::vector<std::string> run_campaign(Scheduler scheduler,
+                                      unsigned workers = 1) {
   FleetOptions options;
   options.device_count = kDevices;
-  options.shards = shards;
+  options.scheduler = scheduler;
+  options.workers = workers;
   options.epoch = sim::seconds(10);
   options.install_plan = campaign_plan();
   Fleet fleet(options);
@@ -64,33 +67,33 @@ std::vector<std::string> run_campaign(int shards) {
   return fleet.energy_digests();
 }
 
-TEST(FleetCampaignTest, ThousandDevicesShardAndRepeatInvariant) {
-  const std::vector<std::string> shard1 = run_campaign(1);
-  ASSERT_EQ(shard1.size(), static_cast<std::size_t>(kDevices));
+TEST(FleetCampaignTest, ThousandDevicesWorkerAndRepeatInvariant) {
+  const std::vector<std::string> reference = run_campaign(Scheduler::kLockstep);
+  ASSERT_EQ(reference.size(), static_cast<std::size_t>(kDevices));
   // No empty digests, and stagger makes devices distinct populations.
-  EXPECT_FALSE(shard1.front().empty());
-  EXPECT_NE(shard1.front(), shard1.back());
+  EXPECT_FALSE(reference.front().empty());
+  EXPECT_NE(reference.front(), reference.back());
 
-  const std::vector<std::string> shard4 = run_campaign(4);
-  const std::vector<std::string> shard8 = run_campaign(8);
-  const std::vector<std::string> repeat = run_campaign(4);
-
-  // Per-device, bitwise. EXPECT_EQ on the vectors would drown the log on
-  // failure; compare element-wise and report the first few divergences.
-  int mismatches = 0;
-  for (int i = 0; i < kDevices && mismatches < 3; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    EXPECT_EQ(shard1[idx], shard4[idx]) << "device " << i << " (1 vs 4)";
-    EXPECT_EQ(shard1[idx], shard8[idx]) << "device " << i << " (1 vs 8)";
-    EXPECT_EQ(shard4[idx], repeat[idx]) << "device " << i << " (repeat)";
-    if (shard1[idx] != shard4[idx] || shard1[idx] != shard8[idx] ||
-        shard4[idx] != repeat[idx]) {
-      ++mismatches;
+  const auto expect_matches = [&reference](
+                                  const std::vector<std::string>& got,
+                                  const std::string& what) {
+    // Per-device, bitwise. EXPECT_EQ on the vectors would drown the log
+    // on failure; report the first few divergences, then the verdict.
+    int mismatches = 0;
+    for (int i = 0; i < kDevices && mismatches < 3; ++i) {
+      const auto idx = static_cast<std::size_t>(i);
+      EXPECT_EQ(got[idx], reference[idx]) << "device " << i << " (" << what
+                                          << ")";
+      if (got[idx] != reference[idx]) ++mismatches;
     }
+    EXPECT_TRUE(got == reference) << what;
+  };
+  for (const unsigned workers : {1u, 4u, 8u}) {
+    expect_matches(run_campaign(Scheduler::kWorkStealing, workers),
+                   "workers=" + std::to_string(workers));
   }
-  EXPECT_EQ(shard1, shard4);
-  EXPECT_EQ(shard1, shard8);
-  EXPECT_EQ(shard4, repeat);
+  expect_matches(run_campaign(Scheduler::kWorkStealing, 4),
+                 "repeat at workers=4");
 }
 
 }  // namespace

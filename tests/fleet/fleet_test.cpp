@@ -4,18 +4,20 @@
 //   * immutable configuration is genuinely shared: one PowerParams /
 //     Manifest object per fleet, aliased by every device;
 //   * per-device results are a pure function of the spec — bitwise
-//     identical across shard counts, repeated runs, and with faults
-//     injected on a subset of devices;
+//     identical between the serial reference and the work-stealing
+//     scheduler at worker counts {1, 4, 8}, across repeated runs, and
+//     with faults injected on a subset of devices;
 //   * the PushBroker's campaigns deliver deterministically and their
 //     energy lands on the sender's account (collateral attribution).
 //
 // This suite runs under the tsan label: a ThreadSanitizer build executes
-// it with multi-shard fleets to prove the epoch barriers are the only
-// synchronization the devices need.
+// it with multi-worker fleets to prove the per-device tasks need no
+// synchronization beyond the executor's.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/demo_app.h"
@@ -64,18 +66,26 @@ PushCampaign flood_campaign(int pushes_per_device) {
   return campaign;
 }
 
-FleetOptions small_fleet_options(int devices, int shards) {
+/// A work-stealing fleet (the default scheduler) with `workers` threads.
+FleetOptions small_fleet_options(int devices, unsigned workers) {
   FleetOptions options;
   options.device_count = devices;
-  options.shards = shards;
+  options.workers = workers;
   options.install_plan = campaign_plan();
   options.epoch = sim::seconds(2);
   return options;
 }
 
-std::vector<std::string> run_small_campaign(int devices, int shards,
+/// The same fleet on the serial reference.
+FleetOptions reference_options(int devices) {
+  FleetOptions options = small_fleet_options(devices, 1);
+  options.scheduler = Scheduler::kLockstep;
+  return options;
+}
+
+std::vector<std::string> run_small_campaign(FleetOptions options,
                                             sim::Duration run_time) {
-  Fleet fleet(small_fleet_options(devices, shards));
+  Fleet fleet(std::move(options));
   fleet.broker().add_campaign(flood_campaign(/*pushes_per_device=*/8));
   fleet.start();
   fleet.run_for(run_time);
@@ -106,7 +116,7 @@ TEST(DeviceContextTest, IsTheTestbedBitForBit) {
 }
 
 TEST(FleetTest, SharedConfigIsOneObjectPerFleet) {
-  Fleet fleet(small_fleet_options(/*devices=*/4, /*shards=*/2));
+  Fleet fleet(small_fleet_options(/*devices=*/4, /*workers=*/2));
   fleet.start();
   const hw::PowerParams* params =
       fleet.device(0).server().params_ptr().get();
@@ -127,28 +137,27 @@ TEST(FleetTest, SharedConfigIsOneObjectPerFleet) {
             shared_default_engine_config().get());
 }
 
-TEST(FleetTest, DigestsIndependentOfShardCount) {
+TEST(FleetTest, DigestsIndependentOfWorkerCount) {
   const sim::Duration run_time = sim::seconds(12);
-  const std::vector<std::string> one =
-      run_small_campaign(/*devices=*/64, /*shards=*/1, run_time);
-  const std::vector<std::string> four =
-      run_small_campaign(/*devices=*/64, /*shards=*/4, run_time);
-  const std::vector<std::string> eight =
-      run_small_campaign(/*devices=*/64, /*shards=*/8, run_time);
-  ASSERT_EQ(one.size(), 64u);
-  EXPECT_EQ(one, four);
-  EXPECT_EQ(one, eight);
+  const std::vector<std::string> reference =
+      run_small_campaign(reference_options(/*devices=*/64), run_time);
+  ASSERT_EQ(reference.size(), 64u);
+  for (const unsigned workers : {1u, 4u, 8u}) {
+    EXPECT_EQ(run_small_campaign(small_fleet_options(64, workers), run_time),
+              reference)
+        << "workers=" << workers;
+  }
 }
 
 TEST(FleetTest, RepeatedRunsAreBitIdentical) {
   const sim::Duration run_time = sim::seconds(12);
-  EXPECT_EQ(run_small_campaign(16, 4, run_time),
-            run_small_campaign(16, 4, run_time));
+  EXPECT_EQ(run_small_campaign(small_fleet_options(16, 4), run_time),
+            run_small_campaign(small_fleet_options(16, 4), run_time));
 }
 
 TEST(FleetTest, DigestsIndependentOfEpochLength) {
   const auto run = [](sim::Duration epoch) {
-    FleetOptions options = small_fleet_options(/*devices=*/8, /*shards=*/2);
+    FleetOptions options = small_fleet_options(/*devices=*/8, /*workers=*/2);
     options.epoch = epoch;
     Fleet fleet(options);
     // Off the 250 ms sampler grid: a send colliding to the microsecond
@@ -166,11 +175,11 @@ TEST(FleetTest, DigestsIndependentOfEpochLength) {
   EXPECT_EQ(run(sim::millis(500)), run(sim::seconds(3)));
 }
 
-TEST(FleetTest, ChaosOnASubsetIsShardIndependent) {
+TEST(FleetTest, ChaosOnASubsetIsWorkerIndependent) {
   // Faults on every third device, via the same seeded plans the chaos
-  // harness uses; per-device digests must still be sharding-invariant.
-  const auto run = [](int shards) {
-    Fleet fleet(small_fleet_options(/*devices=*/24, shards));
+  // harness uses; per-device digests must still match the reference.
+  const auto run = [](FleetOptions options) {
+    Fleet fleet(std::move(options));
     fleet.broker().add_campaign(flood_campaign(6));
     fleet.start();
     std::vector<std::unique_ptr<sim::FaultInjector>> injectors;
@@ -186,14 +195,18 @@ TEST(FleetTest, ChaosOnASubsetIsShardIndependent) {
     fleet.finish();
     return fleet.energy_digests();
   };
-  const std::vector<std::string> one = run(1);
-  EXPECT_EQ(one, run(4));
+  const std::vector<std::string> reference =
+      run(reference_options(/*devices=*/24));
+  for (const unsigned workers : {1u, 4u, 8u}) {
+    EXPECT_EQ(run(small_fleet_options(24, workers)), reference)
+        << "workers=" << workers;
+  }
   // Sanity: the faulted devices diverged from the clean ones.
-  EXPECT_NE(one[0], one[1]);
+  EXPECT_NE(reference[0], reference[1]);
 }
 
 TEST(PushBrokerTest, DeliversTheCampaignCountAndChargesTheSender) {
-  Fleet fleet(small_fleet_options(/*devices=*/3, /*shards=*/2));
+  Fleet fleet(small_fleet_options(/*devices=*/3, /*workers=*/2));
   fleet.broker().add_campaign(flood_campaign(/*pushes_per_device=*/10));
   fleet.start();
   fleet.run_for(sim::seconds(30));
@@ -212,7 +225,7 @@ TEST(PushBrokerTest, DeliversTheCampaignCountAndChargesTheSender) {
 }
 
 TEST(PushBrokerTest, StrideTargetsOnlyTheSelectedSlice) {
-  Fleet fleet(small_fleet_options(/*devices=*/4, /*shards=*/2));
+  Fleet fleet(small_fleet_options(/*devices=*/4, /*workers=*/2));
   PushCampaign campaign = flood_campaign(4);
   campaign.device_stride = 2;
   campaign.device_phase = 1;
@@ -279,7 +292,7 @@ TEST(PushBrokerTest, ClosedFormWindowingMatchesBruteForce) {
 TEST(AggregateTest, SumsMatchTheDevicesAndAreDeterministic) {
   const auto build = [] {
     auto fleet = std::make_unique<Fleet>(
-        small_fleet_options(/*devices=*/6, /*shards=*/3));
+        small_fleet_options(/*devices=*/6, /*workers=*/3));
     fleet->broker().add_campaign(flood_campaign(8));
     fleet->start();
     fleet->run_for(sim::seconds(15));
@@ -319,6 +332,15 @@ TEST(FleetTest, StartTwiceIsACheckedError) {
   Fleet fleet(small_fleet_options(1, 1));
   fleet.start();
   EXPECT_THROW(fleet.start(), sim::CheckFailure);
+}
+
+TEST(FleetTest, DeviceAndSnapshotIndicesAreBoundsChecked) {
+  Fleet fleet(small_fleet_options(/*devices=*/3, /*workers=*/1));
+  fleet.start();
+  EXPECT_NO_THROW((void)fleet.device(2));
+  EXPECT_NO_THROW((void)fleet.snapshot(2));
+  EXPECT_THROW((void)fleet.device(fleet.size()), sim::CheckFailure);
+  EXPECT_THROW((void)fleet.snapshot(fleet.size()), sim::CheckFailure);
 }
 
 TEST(InstallPlanTest, RejectsNullEntries) {

@@ -37,8 +37,8 @@ TEST(CheckedErrorsTest, BrokerMutationAfterFreezeThrows) {
 }
 
 TEST(CheckedErrorsTest, CampaignAfterWorkStealingStartThrows) {
-  // The fleet-level shape of the same rule: start() freezes the broker in
-  // work-stealing mode because workers read campaigns concurrently.
+  // The fleet-level shape of the same rule: start() freezes the broker
+  // because workers read campaigns concurrently.
   fleet::FleetOptions options;
   options.device_count = 2;
   options.scheduler = fleet::Scheduler::kWorkStealing;

@@ -26,9 +26,10 @@ TEST(OracleTest, HealthyTreePassesEveryLeg) {
 
   // Every enabled leg reports a timing entry.
   const char* const expected[] = {
-      "single.reference",    "single.determinism", "single.invariants",
-      "fleet.reference",     "fleet.shards4",      "fleet.shards8",
-      "fleet.work_stealing", "fleet.hibernation"};
+      "single.reference",    "single.determinism",
+      "single.invariants",   "fleet.reference",
+      "fleet.work_stealing", "fleet.work_stealing_untraced",
+      "fleet.hibernation"};
   for (const char* leg : expected) {
     EXPECT_TRUE(std::any_of(verdict.timings.begin(), verdict.timings.end(),
                             [leg](const LegTiming& t) { return t.leg == leg; }))

@@ -4,9 +4,10 @@
 //     consumed total within 1 mJ across 64 random chaos seeds (the
 //     trace is an independent record the meters can be validated
 //     against, in the spirit of arxiv 1701.07095);
-//   * trace bytes and metrics snapshots are bitwise identical across
-//     fleet shard counts {1, 4, 8} — observability output is a pure
-//     function of the simulated history, never of how it was executed;
+//   * trace bytes and metrics snapshots are bitwise identical between
+//     the serial reference fleet and work-stealing fleets at worker
+//     counts {1, 4, 8} — observability output is a pure function of the
+//     simulated history, never of how it was executed;
 //   * tracing a chaos run moves no bit of its digest.
 #include <gtest/gtest.h>
 
@@ -100,7 +101,7 @@ TEST(TraceResummationTest, TracingMovesNoBitOfTheChaosDigest) {
   }
 }
 
-// --- Shard invariance ----------------------------------------------------
+// --- Worker-count invariance ---------------------------------------------
 
 /// The fleet_test campaign cast, traced.
 std::shared_ptr<const fleet::InstallPlan> campaign_plan() {
@@ -122,10 +123,12 @@ struct FleetObsOutput {
   std::string report_digest;         // includes the merged metrics table
 };
 
-FleetObsOutput run_traced_fleet(int shards) {
+FleetObsOutput run_traced_fleet(fleet::Scheduler scheduler,
+                                unsigned workers = 1) {
   fleet::FleetOptions options;
   options.device_count = 12;
-  options.shards = shards;
+  options.scheduler = scheduler;
+  options.workers = workers;
   options.install_plan = campaign_plan();
   options.epoch = sim::seconds(2);
   options.obs.trace = true;
@@ -152,20 +155,21 @@ FleetObsOutput run_traced_fleet(int shards) {
   return out;
 }
 
-TEST(ShardInvarianceTest, TraceBytesAndMetricsIdenticalAcrossShardCounts) {
-  const FleetObsOutput one = run_traced_fleet(1);
-  const FleetObsOutput four = run_traced_fleet(4);
-  const FleetObsOutput eight = run_traced_fleet(8);
-  ASSERT_EQ(one.traces.size(), 12u);
-  EXPECT_FALSE(one.traces[0].empty());
-  EXPECT_EQ(one.traces, four.traces);
-  EXPECT_EQ(one.traces, eight.traces);
-  EXPECT_EQ(one.metrics, four.metrics);
-  EXPECT_EQ(one.metrics, eight.metrics);
-  // The fleet report digest folds the merged metrics table, so this one
-  // comparison covers the population-level render too.
-  EXPECT_EQ(one.report_digest, four.report_digest);
-  EXPECT_EQ(one.report_digest, eight.report_digest);
+TEST(WorkerInvarianceTest, TraceBytesAndMetricsIdenticalAcrossWorkerCounts) {
+  const FleetObsOutput reference =
+      run_traced_fleet(fleet::Scheduler::kLockstep);
+  ASSERT_EQ(reference.traces.size(), 12u);
+  EXPECT_FALSE(reference.traces[0].empty());
+  for (const unsigned workers : {1u, 4u, 8u}) {
+    const FleetObsOutput got =
+        run_traced_fleet(fleet::Scheduler::kWorkStealing, workers);
+    EXPECT_EQ(got.traces, reference.traces) << "workers=" << workers;
+    EXPECT_EQ(got.metrics, reference.metrics) << "workers=" << workers;
+    // The fleet report digest folds the merged metrics table, so this one
+    // comparison covers the population-level render too.
+    EXPECT_EQ(got.report_digest, reference.report_digest)
+        << "workers=" << workers;
+  }
 }
 
 }  // namespace

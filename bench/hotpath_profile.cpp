@@ -14,7 +14,11 @@
 // window, steady-state allocations per tick (must be exactly zero — a
 // steady-state allocation fails the bench), and — from a separate
 // stage-profiling window so clock reads never pollute the timed
-// throughput — the tick's gather-vs-fold nanosecond split.
+// throughput — the tick's gather-vs-fold nanosecond split. After the
+// timed window the charger goes in and the phone charges until full; a
+// full phone on the charger must then tick with zero allocations and
+// zero new battery-history points (the bench fails otherwise), reported
+// as charger_steady_allocs_per_tick.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -69,6 +73,9 @@ constexpr std::int64_t kSteadyS = 60;
 /// so the timed throughput window below stays clock-free.
 constexpr std::int64_t kStageS = 1200;
 constexpr std::int64_t kTimedS = 7200;
+/// Bound on the charge-to-full phase; the bench fails if the phone is
+/// still not full after it.
+constexpr std::int64_t kChargeLimitS = 6 * 3600;
 
 struct LegResult {
   double wall_s = 0.0;
@@ -76,6 +83,9 @@ struct LegResult {
   double ticks_per_s = 0.0;
   double allocs_per_tick = 0.0;
   double steady_allocs_per_tick = 0.0;
+  bool charged_full = false;
+  double charger_steady_allocs_per_tick = 0.0;
+  std::uint64_t charger_history_points = 0;
   double gather_ns_per_tick = 0.0;
   double fold_ns_per_tick = 0.0;
   std::uint64_t ticks = 0;
@@ -165,6 +175,23 @@ LegResult run_leg() {
                            static_cast<double>(result.ticks);
   result.sims_per_wall_s = static_cast<double>(kTimedS) / result.wall_s;
   result.ticks_per_s = static_cast<double>(result.ticks) / result.wall_s;
+
+  // Charger steady state: plug in, charge to full, then a full phone on
+  // the charger must tick without allocating or growing the history.
+  hw::Battery& battery = bed.server().battery();
+  bed.server().plug_charger();
+  for (std::int64_t s = 0; s < kChargeLimitS && !battery.full(); s += 60) {
+    bed.sim().run_for(sim::seconds(60));
+  }
+  result.charged_full = battery.full();
+  const std::uint64_t charger_allocs0 = alloc_count();
+  const std::size_t history0 = battery.history().size();
+  const std::uint64_t charger_ticks0 = sampler.slices_emitted();
+  bed.sim().run_for(sim::seconds(kSteadyS));
+  result.charger_steady_allocs_per_tick =
+      static_cast<double>(alloc_count() - charger_allocs0) /
+      static_cast<double>(sampler.slices_emitted() - charger_ticks0);
+  result.charger_history_points = battery.history().size() - history0;
   return result;
 }
 
@@ -178,6 +205,9 @@ int main() {
 
   const LegResult fused = run_leg();
   const bool alloc_free = fused.steady_allocs_per_tick == 0.0;
+  const bool charger_steady = fused.charged_full &&
+                              fused.charger_steady_allocs_per_tick == 0.0 &&
+                              fused.charger_history_points == 0;
 
   std::printf("%10s %16s %14s %14s %12s %12s\n", "wall (s)",
               "sim-s / wall-s", "allocs/tick", "steady a/t", "gather ns/t",
@@ -188,6 +218,11 @@ int main() {
               fused.fold_ns_per_tick);
   std::printf("\nticks/wall-s: %.0f   steady-state: %s\n", fused.ticks_per_s,
               alloc_free ? "allocation-free" : "ALLOCATES");
+  std::printf("full on charger: %s, %.2f allocs/tick, %llu new history "
+              "points\n",
+              fused.charged_full ? "yes" : "NEVER FULL",
+              fused.charger_steady_allocs_per_tick,
+              static_cast<unsigned long long>(fused.charger_history_points));
 
   std::FILE* json = std::fopen("BENCH_hotpath.json", "w");
   if (json != nullptr) {
@@ -202,11 +237,13 @@ int main() {
     std::fprintf(json,
                  "  \"fused\": {\"wall_s\": %.4f, \"sims_per_wall_s\": %.1f, "
                  "\"allocs_per_tick\": %.3f, "
-                 "\"steady_allocs_per_tick\": %.3f, \"ticks\": %llu, "
+                 "\"steady_allocs_per_tick\": %.3f, "
+                 "\"charger_steady_allocs_per_tick\": %.3f, \"ticks\": %llu, "
                  "\"gather_ns_per_tick\": %.1f, "
                  "\"fold_ns_per_tick\": %.1f, \"fused_ticks_per_s\": %.1f},\n",
                  fused.wall_s, fused.sims_per_wall_s, fused.allocs_per_tick,
                  fused.steady_allocs_per_tick,
+                 fused.charger_steady_allocs_per_tick,
                  static_cast<unsigned long long>(fused.ticks),
                  fused.gather_ns_per_tick, fused.fold_ns_per_tick,
                  fused.ticks_per_s);
@@ -218,6 +255,11 @@ int main() {
 
   if (!alloc_free) {
     std::printf("FAIL: the metering path allocates in steady state\n");
+    return 1;
+  }
+  if (!charger_steady) {
+    std::printf("FAIL: a full phone on the charger is not at steady state "
+                "(never full, allocates, or grows the battery history)\n");
     return 1;
   }
   return 0;

@@ -36,21 +36,6 @@ class BatteryStats : public AccountingSink {
     if (app_mj_.size() <= idx) app_mj_.resize(idx + 1, 0.0);
     app_mj_[idx] += sum_mj;
   }
-  /// Dense column fold over all `n` cells of a sealed slice's part
-  /// columns (EnergySlice::TouchedView). Bit-identical to fold_app over
-  /// the active list: untouched cells are exact +0.0, the per-cell
-  /// association is the same cpu+camera+gps+wifi+audio as sum_at(), and
-  /// app_mj_ never holds -0.0, so the extra `+= +0.0` terms are bitwise
-  /// no-ops. Straight-line over disjoint arrays — vectorises.
-  void fold_columns(const double* cpu, const double* camera,
-                    const double* gps, const double* wifi,
-                    const double* audio, std::size_t n) {
-    if (app_mj_.size() < n) app_mj_.resize(n, 0.0);
-    double* out = app_mj_.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] += cpu[i] + camera[i] + gps[i] + wifi[i] + audio[i];
-    }
-  }
   /// Per-slice tail: the policy rows (screen stays its own row here).
   void fold_tail(const EnergySlice& slice) {
     screen_mj_ += slice.screen_mj;

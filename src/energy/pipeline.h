@@ -3,23 +3,22 @@
 // The virtual-sink era had every profiler re-walk the sealed slice:
 // BatteryStats, PowerTutor, Eprof, and the E-Android engine each looped
 // over slice.active() and re-read the same five SoA cells behind their
-// own on_slice. The pipeline replaces that fan-out with ONE incremental
-// pass over the touched cells: the slice's touched view exposes the five
-// column base pointers. Accumulators that are themselves dense part
-// columns (BatteryStats, PowerTutor) fold as straight-line column sweeps
-// over ALL cells — no gather, no per-cell branch, the shape the
-// vectorizer wants; sweeping past untouched cells is bit-safe because
-// they are exact +0.0 (see TouchedView). The sparse accumulators (the
-// engine's per-app integration with its routine rows, eprof) ride an
-// active-list walk that loads each touched app's five parts once.
+// own on_slice. The pipeline replaces that fan-out with ONE pass over the
+// touched apps: it walks slice.active() once, loads each app's five parts
+// once (through the touched view's hoisted column pointers), and feeds
+// them to every accumulator — BatteryStats' part-order sum, PowerTutor's
+// five part columns, the engine's direct store with its routine rows, and
+// eprof. The pass costs O(active): untouched apps are never visited, and
+// most slices touch none (an idle phone's tick carries only system and
+// screen energy).
 //
 // Bit-identity contract: fusing changes which loop performs an addition,
 // never the additions themselves. Each accumulator receives the exact
 // operand sequence its on_slice issued, in the same order — per-part adds
 // in part order, apps ascending (seal()'s canonical order), and the
 // engine's battery ground truth as the same running sum total_mj()
-// computes (system+screen first, then apps ascending). The dense column
-// sweeps are pinned against BatteryStats/PowerTutor::on_slice in
+// computes (system+screen first, then apps ascending). The BatteryStats
+// and PowerTutor folds are pinned against their own on_slice in
 // tests/energy/pipeline_test.cpp; the engine's direct store is checked
 // against the battery's ground truth by the conservation invariant.
 #pragma once
@@ -96,8 +95,8 @@ class MeteringPipeline {
     engine_stage_ = stage;
   }
 
-  /// One pass over the sealed slice: prepare stage, fused cell loop over
-  /// the touched view, then the per-slice tails in the sink era's
+  /// One pass over the sealed slice: prepare stage, one fused walk over
+  /// the touched apps, then the per-slice tails in the sink era's
   /// registration order (engine collateral, BatteryStats, PowerTutor).
   void run(const EnergySlice& slice);
 
@@ -105,8 +104,8 @@ class MeteringPipeline {
   [[nodiscard]] std::uint64_t cells_folded() const { return cells_; }
 
   /// TEST-ONLY fault seam: while `part` is in [0, 5), every pipeline's
-  /// fused sparse fold treats that part column as zero in the engine's
-  /// direct store and battery ground truth — a deliberate conservation
+  /// fused fold treats that part column as zero in the engine's direct
+  /// store and battery ground truth (never in BatteryStats/PowerTutor) — a deliberate conservation
   /// bug, used to prove the scenario fuzzer's invariant leg catches and
   /// shrinks real divergences (tests/fuzz/injected_bug_test.cpp). -1 (the
   /// default) disarms it.

@@ -42,22 +42,6 @@ class PowerTutor : public AccountingSink {
     wifi_[idx] += wifi_mj;
     audio_[idx] += audio_mj;
   }
-  /// Dense column fold over all `n` cells of a sealed slice's part
-  /// columns (EnergySlice::TouchedView): five independent accumulator
-  /// sweeps, one per part. Bit-identical to fold_app over the active list
-  /// — each touched cell receives exactly the same single add, untouched
-  /// cells add an exact +0.0 into accumulators that never hold -0.0, and
-  /// cells are disjoint so the cross-app interleaving cannot matter.
-  void fold_columns(const double* cpu, const double* camera,
-                    const double* gps, const double* wifi,
-                    const double* audio, std::size_t n) {
-    ensure(n);
-    fold_column(cpu_, cpu, n);
-    fold_column(camera_, camera, n);
-    fold_column(gps_, gps, n);
-    fold_column(wifi_, wifi, n);
-    fold_column(audio_, audio, n);
-  }
   /// Per-slice tail: the foreground screen policy plus the system row.
   void fold_tail(const EnergySlice& slice);
 
@@ -80,12 +64,6 @@ class PowerTutor : public AccountingSink {
     wifi_.resize(n, 0.0);
     audio_.resize(n, 0.0);
   }
-  static void fold_column(std::vector<double>& acc, const double* col,
-                          std::size_t n) {
-    double* out = acc.data();
-    for (std::size_t i = 0; i < n; ++i) out[i] += col[i];
-  }
-
   [[nodiscard]] double screen_mj_of(kernelsim::Uid uid) const;
   /// Canonical part-order association, matching slice.sum_at().
   [[nodiscard]] double direct_sum_of(kernelsim::AppIdx idx) const {
@@ -98,8 +76,7 @@ class PowerTutor : public AccountingSink {
   /// the first slice (all slices fed to one sink must share a table).
   const kernelsim::IdTable* ids_ = nullptr;
   /// Direct (non-screen) energy as structure-of-arrays part columns,
-  /// dense by AppIdx — the same layout as the slice, so the fused
-  /// pipeline folds slice columns into these with straight-line loops.
+  /// dense by AppIdx — the same layout as the slice.
   std::vector<double> cpu_, camera_, gps_, wifi_, audio_;
   /// Screen energy billed by the foreground policy; sorted ascending by
   /// uid (the foreground app may never appear in the interner, so this

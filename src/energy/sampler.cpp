@@ -134,17 +134,17 @@ void EnergySampler::tick() {
   gather(now, window.seconds());
   slice_.seal();
 
-  // Net battery flow: consumption always drains; a connected charger
-  // back-fills at its rate over the same window. total_mj() is a pure
-  // fold over the sealed slice — computed once, reused by the trace
-  // marker and metrics below.
+  // Net battery flow, one call per window: consumption always drains; a
+  // connected charger back-fills at its rate over the same window.
+  // total_mj() is a pure fold over the sealed slice — computed once,
+  // reused by the trace marker and metrics below.
   const double total_mj = slice_.total_mj();
-  server_.battery().drain(total_mj, now);
-  if (server_.battery().charging()) {
-    server_.battery().charge(server_.battery().charge_rate_mw() *
-                                 window.seconds(),
-                             now);
-  }
+  hw::Battery& battery = server_.battery();
+  battery.flow(total_mj,
+               battery.charging()
+                   ? battery.charge_rate_mw() * window.seconds()
+                   : 0.0,
+               now);
 
   const clock::time_point t1 = stage_timing_ ? clock::now()
                                              : clock::time_point{};

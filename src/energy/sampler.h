@@ -2,8 +2,8 @@
 //
 // At each tick (default 250 ms, the same order as BatteryStats' polling)
 // it closes a CPU-utilization window, reads instantaneous component power,
-// integrates over the window, drains the battery, and feeds every
-// registered sink. Power is treated as constant within a window — the
+// integrates over the window, moves the battery by the window's net flow
+// (one Battery::flow call), and feeds every registered sink. Power is treated as constant within a window — the
 // standard assumption of utilization-based models (the paper cites their
 // ~20% worst-case error; our interest is attribution, not wattmeter
 // accuracy).
@@ -19,7 +19,10 @@
 // the whole run and is reset (not reallocated) per window, component
 // breakdowns land in a reused buffer, and the per-tick constants (power
 // params, CPU power model, the observability recorder/registry pointers)
-// are hoisted out of the loop.
+// are hoisted out of the loop. The one growing structure is the battery
+// history, which takes a point per net percent change: none while a full
+// phone sits on the charger, ~100 per discharge or charge swing
+// (amortised reallocation once past its reserve).
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,10 @@
 // Battery model: a coulomb counter over the virtual clock.
 //
 // The energy sampler integrates total device power each sampling window and
-// drains the battery accordingly. The battery records a (time, percent)
-// history so benches can plot drain curves (paper Figure 3), and exposes
-// level callbacks for scenarios that run "until the battery is dead".
+// moves the battery by that window's net flow (consumption out, charger
+// current in). The battery records a (time, percent) history so benches can
+// plot drain curves (paper Figure 3), and exposes level callbacks for
+// scenarios that run "until the battery is dead".
 #pragma once
 
 #include <functional>
@@ -19,17 +20,30 @@ class Battery {
   explicit Battery(double capacity_mwh)
       : capacity_mj_(capacity_mwh * 3600.0),  // 1 mWh = 3600 mJ
         remaining_mj_(capacity_mj_) {
-    // One history point per integer-percent change: a full discharge is
-    // ~101 entries, so this keeps the metering tick allocation-free.
+    // One history point per net integer-percent change per flow: a full
+    // discharge is ~101 entries, so one swing never reallocates. Each
+    // further swing grows the history by at most ~100 points (amortised
+    // reallocation); a full phone on the charger adds none.
     history_.reserve(128);
   }
 
+  /// One window's net flow: removes `drain_mj` (clamped at empty; always
+  /// counted as consumed), then adds `charge_mj` unless already full
+  /// (clamped at full). The history and the drop callback see only the
+  /// window's net percent change, so a full phone that dips below 100%
+  /// and charges back within the window records nothing.
+  void flow(double drain_mj, double charge_mj, sim::TimePoint now);
+
   /// Removes `energy_mj` millijoules; clamps at empty.
-  void drain(double energy_mj, sim::TimePoint now);
+  void drain(double energy_mj, sim::TimePoint now) {
+    flow(energy_mj, 0.0, now);
+  }
 
   /// Adds `energy_mj` (charger current); clamps at full. Percent rises
   /// are recorded in the history like drops are.
-  void charge(double energy_mj, sim::TimePoint now);
+  void charge(double energy_mj, sim::TimePoint now) {
+    flow(0.0, energy_mj, now);
+  }
 
   /// Fault injection: collapses the remaining charge down to
   /// `remaining_mj` (sudden cell exhaustion / capacity fade) WITHOUT
@@ -38,8 +52,8 @@ class Battery {
   /// cover it. Percent drops are recorded in the history as usual.
   void deplete_to(double remaining_mj, sim::TimePoint now);
 
-  /// Charger state; the metering loop turns the charge rate minus the
-  /// device's consumption into charge()/drain() calls.
+  /// Charger state; the metering loop turns the charge rate and the
+  /// device's consumption into one flow() call per window.
   void set_charging(bool charging, double rate_mw = 5000.0);
   [[nodiscard]] bool charging() const { return charging_; }
   [[nodiscard]] double charge_rate_mw() const { return charge_rate_mw_; }
@@ -61,12 +75,12 @@ class Battery {
     sim::TimePoint when;
     int percent;
   };
-  /// One entry per integer-percent drop (plus the initial 100%).
+  /// One entry per net integer-percent change (plus the initial 100%).
   [[nodiscard]] const std::vector<HistoryPoint>& history() const {
     return history_;
   }
 
-  /// Runs whenever the integer percent decreases.
+  /// Runs for each integer percent the level drops by, net per flow.
   void set_on_percent_drop(std::function<void(int)> cb) {
     on_percent_drop_ = std::move(cb);
   }
@@ -77,6 +91,10 @@ class Battery {
   double consumed_mj_ = 0.0;
   bool charging_ = false;
   double charge_rate_mw_ = 0.0;
+  /// Appends one history point per level between `before` and the
+  /// current percent (drops also fire the callback).
+  void record_levels(int before, sim::TimePoint now);
+
   std::vector<HistoryPoint> history_{{sim::TimePoint{}, 100}};
   std::function<void(int)> on_percent_drop_;
 };

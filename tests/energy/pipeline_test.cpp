@@ -1,6 +1,6 @@
 // MeteringPipeline unit suite (the `metering` ctest label): fold order,
-// stage bracketing, the touched-view cell addressing, the dense column
-// sweeps against the profilers' own on_slice, and the unfused sink chain
+// stage bracketing, the touched-view cell addressing, the fused profiler
+// folds against the profilers' own on_slice, and the unfused sink chain
 // on a live testbed. These tests pin the pipeline's contracts at the
 // component level where a violation has a short, debuggable witness.
 
@@ -28,24 +28,32 @@ using apps::TestbedOptions;
 kernelsim::Uid uid(std::int32_t v) { return kernelsim::Uid{v}; }
 
 /// Builds a sealed standalone slice with a deterministic cell pattern:
-/// three apps, staggered parts, two routine tags on the first app.
+/// three touched apps, staggered parts, two routine tags on the first app,
+/// and two interned apps (10004, 10005) between them that this slice
+/// never touches — their cells exist but are not on the active list.
 EnergySlice make_slice() {
   EnergySlice slice;
   const kernelsim::AppIdx a = slice.ids().app_of(uid(10001));
+  (void)slice.ids().app_of(uid(10004));
   const kernelsim::AppIdx b = slice.ids().app_of(uid(10002));
+  (void)slice.ids().app_of(uid(10005));
   const kernelsim::AppIdx c = slice.ids().app_of(uid(10003));
   const kernelsim::RoutineIdx render = slice.ids().routine_of("render");
   const kernelsim::RoutineIdx net = slice.ids().routine_of("net");
-  slice.system_mj = 3.25;
-  slice.screen_mj = 40.5;
+  // Values are not dyadic, and app a has three non-zero parts, so a sum
+  // in any other association than the canonical part order rounds
+  // differently: exact-equality checks below see order bugs.
+  slice.system_mj = 3.3;
+  slice.screen_mj = 40.1;
   // Touch out of ascending order on purpose — seal() canonicalizes.
-  slice.part_at(c, HwPart::kGps) += 0.75;
-  slice.part_at(a, HwPart::kCpu) += 12.5;
-  slice.part_at(a, HwPart::kWifi) += 1.125;
-  slice.part_at(b, HwPart::kCamera) += 30.0;
-  slice.part_at(b, HwPart::kAudio) += 2.5;
-  slice.add_routine_at(a, net, 4.5);
-  slice.add_routine_at(a, render, 8.0);
+  slice.part_at(c, HwPart::kGps) += 0.7;
+  slice.part_at(a, HwPart::kCpu) += 12.1;
+  slice.part_at(a, HwPart::kGps) += 0.3;
+  slice.part_at(a, HwPart::kWifi) += 1.3;
+  slice.part_at(b, HwPart::kCamera) += 29.9;
+  slice.part_at(b, HwPart::kAudio) += 2.7;
+  slice.add_routine_at(a, net, 4.4);
+  slice.add_routine_at(a, render, 7.7);
   slice.seal();
   return slice;
 }
@@ -127,37 +135,53 @@ TEST(MeteringPipelineTest, DirectStoreFoldIsBitIdenticalToTotalMj) {
 }
 
 TEST(MeteringPipelineTest, DenseColumnFoldsMatchVirtualFolds) {
-  // BatteryStats and PowerTutor fold as dense column sweeps in the
-  // pipeline — every cell, touched or not. The result must be EXACTLY
-  // their own on_slice active-list fold: untouched cells are exact +0.0,
-  // so their `+= +0.0` terms are bitwise no-ops.
-  const EnergySlice slice = make_slice();
+  // BatteryStats and PowerTutor fold inside the pipeline's one walk over
+  // the touched apps. The result must be EXACTLY their own on_slice: the
+  // same adds in the same order, with the interned-but-untouched apps
+  // never visited, and a slice that touches no app adding only its
+  // system and screen rows.
+  EnergySlice slice = make_slice();
+  const kernelsim::AppIdx idle1 = slice.ids().find_app(uid(10004));
+  const kernelsim::AppIdx idle2 = slice.ids().find_app(uid(10005));
+  ASSERT_EQ(slice.active().size() + 2, slice.ids().app_count());
+  EXPECT_FALSE(slice.active_at(idle1));
+  EXPECT_FALSE(slice.active_at(idle2));
+
+  EnergySlice empty(slice.ids());
+  empty.system_mj = 1.5;
+  empty.screen_mj = 20.25;
+  empty.foreground = uid(10002);
+  empty.seal();
+  ASSERT_TRUE(empty.active().empty());
+
   framework::PackageManager packages;
 
   BatteryStats bs_virtual(packages);
   PowerTutor pt_virtual(packages);
-  bs_virtual.on_slice(slice);
-  pt_virtual.on_slice(slice);
-  bs_virtual.on_slice(slice);  // accumulation across slices
-  pt_virtual.on_slice(slice);
+  for (const EnergySlice* s : {&slice, &empty, &slice}) {
+    bs_virtual.on_slice(*s);
+    pt_virtual.on_slice(*s);
+  }
 
   BatteryStats bs_fused(packages);
   PowerTutor pt_fused(packages);
   MeteringPipeline pipeline;
   pipeline.set_battery_stats(&bs_fused);
   pipeline.set_power_tutor(&pt_fused);
-  pipeline.run(slice);
-  pipeline.run(slice);
+  for (const EnergySlice* s : {&slice, &empty, &slice}) pipeline.run(*s);
+  EXPECT_EQ(pipeline.cells_folded(), 2 * slice.active().size());
 
   EXPECT_EQ(bs_fused.total_mj(), bs_virtual.total_mj());
+  EXPECT_EQ(bs_fused.screen_energy_mj(), bs_virtual.screen_energy_mj());
   EXPECT_EQ(pt_fused.total_mj(), pt_virtual.total_mj());
-  for (std::int32_t v = 10001; v <= 10003; ++v) {
+  for (std::int32_t v = 10001; v <= 10005; ++v) {
     EXPECT_EQ(bs_fused.app_energy_mj(uid(v)),
               bs_virtual.app_energy_mj(uid(v)));
     EXPECT_EQ(pt_fused.app_energy_mj(uid(v)),
               pt_virtual.app_energy_mj(uid(v)));
     for (const HwPart part : {HwPart::kCpu, HwPart::kCamera, HwPart::kGps,
-                              HwPart::kWifi, HwPart::kAudio}) {
+                              HwPart::kWifi, HwPart::kAudio,
+                              HwPart::kScreen}) {
       EXPECT_EQ(pt_fused.component_energy_mj(uid(v), part),
                 pt_virtual.component_energy_mj(uid(v), part));
     }

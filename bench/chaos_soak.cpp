@@ -1,10 +1,13 @@
-// Chaos soak: hundreds of randomized fault schedules over the scenario
-// workload, each checked for (a) global invariants after recovery and
-// (b) bitwise determinism — every seed is executed twice and the two
-// full-precision digests must match.
+// Chaos soak: hundreds of long generated scenario programs (framework
+// traffic mixed with the grammar's six fault ops), each checked for
+// (a) global invariants after recovery and (b) bitwise determinism —
+// every seed is executed twice and the two full-precision digests must
+// match.
 //
-// On violation the offending seed is replayed serially and its fault
-// plan printed, so the failure is reproducible from this output alone:
+// On failure the smallest failing seed is replayed serially, shrunk with
+// fuzz::shrink (the failure predicate: a violation, or a digest mismatch
+// between two runs) and printed in corpus format, ready to be committed
+// under tests/fuzz/corpus/:
 //
 //   ./chaos_soak            # default 500 seeds
 //   EANDROID_CHAOS_SEEDS=32 ./chaos_soak
@@ -18,15 +21,16 @@
 #include <thread>
 #include <vector>
 
-#include "apps/chaos.h"
 #include "exp/parallel_runner.h"
+#include "fuzz/chaos.h"
+#include "fuzz/shrink.h"
 
 namespace {
 
 using namespace eandroid;
 
 struct SeedOutcome {
-  apps::ChaosResult result;
+  fuzz::ChaosResult result;
   bool deterministic = false;
 
   [[nodiscard]] bool clean() const {
@@ -35,13 +39,19 @@ struct SeedOutcome {
 };
 
 SeedOutcome run_seed(std::uint64_t seed) {
-  apps::ChaosOptions options;
-  options.seed = seed;
+  const fuzz::ChaosOptions options{.seed = seed};
   SeedOutcome outcome;
-  outcome.result = apps::run_chaos(options);
-  const apps::ChaosResult replay = apps::run_chaos(options);
+  outcome.result = fuzz::run_chaos(options);
+  const fuzz::ChaosResult replay = fuzz::run_chaos(options);
   outcome.deterministic = outcome.result.digest() == replay.digest();
   return outcome;
+}
+
+/// The chaos failure predicate, on any program: a violation, or two runs
+/// that digest differently.
+bool chaos_fails(const fuzz::ScenarioProgram& program) {
+  const fuzz::ChaosResult first = fuzz::run_chaos(program);
+  return !first.ok() || first.digest() != fuzz::run_chaos(program).digest();
 }
 
 }  // namespace
@@ -55,7 +65,7 @@ int main() {
     if (parsed > 0) seeds = static_cast<std::uint64_t>(parsed);
   }
   const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("=== chaos soak: %llu randomized fault schedules, each run "
+  std::printf("=== chaos soak: %llu generated fault programs, each run "
               "twice (%u worker threads) ===\n\n",
               static_cast<unsigned long long>(seeds), threads);
 
@@ -105,14 +115,13 @@ int main() {
               sim_seconds / wall);
 
   if (first_bad != 0) {
-    // Replay the smallest failing seed serially with its plan, so the
-    // failure reproduces from the printed line alone.
+    // Replay the smallest failing seed serially, then shrink its program
+    // so the failure reproduces from the printed reproducer alone.
     std::printf("\n--- replaying failing seed %llu ---\n",
                 static_cast<unsigned long long>(first_bad));
-    apps::ChaosOptions options;
-    options.seed = first_bad;
-    const apps::ChaosResult replay = apps::run_chaos(options);
-    std::printf("%s\n", replay.plan.c_str());
+    const fuzz::ScenarioProgram program =
+        fuzz::chaos_program({.seed = first_bad});
+    const fuzz::ChaosResult replay = fuzz::run_chaos(program);
     std::printf("digest: %s\n", replay.digest().c_str());
     for (const std::string& v : replay.violations) {
       std::printf("violation: %s\n", v.c_str());
@@ -120,6 +129,19 @@ int main() {
     if (replay.violations.empty()) {
       std::printf("(digest mismatch between paired runs — "
                   "nondeterminism)\n");
+    }
+    if (chaos_fails(program)) {
+      fuzz::ShrinkStats stats;
+      const fuzz::ScenarioProgram shrunk =
+          fuzz::shrink(program, chaos_fails, &stats);
+      std::printf("\n--- shrunk reproducer: %d -> %d steps after %d "
+                  "candidates (tests/fuzz/corpus/ format) ---\n",
+                  stats.initial_steps, stats.final_steps, stats.candidates);
+      std::printf("# chaos_soak seed %llu\n%s",
+                  static_cast<unsigned long long>(first_bad),
+                  shrunk.serialize().c_str());
+    } else {
+      std::printf("(the serial replay passed; not shrunk)\n");
     }
   }
 

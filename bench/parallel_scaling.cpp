@@ -1,5 +1,5 @@
 // Serial vs parallel throughput of the experiment runner on the 12-seed
-// soak workload, plus the determinism contract: every per-seed result
+// soak workload (soak.h), plus the determinism contract: every per-seed result
 // (drain, windows, steps, conservation inputs) must be BITWISE identical
 // to the serial path — fan-out may only change wall time, never physics.
 //
@@ -7,7 +7,6 @@
 // the perf trajectory across commits and machines.
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -15,41 +14,16 @@
 #include <thread>
 #include <vector>
 
-#include "apps/testbed.h"
-#include "apps/workload.h"
 #include "exp/parallel_runner.h"
+#include "soak.h"
 
 namespace {
 
 using namespace eandroid;
+using bench::SoakResult;
 using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kSeeds = 12;
-constexpr int kSteps = 600;
-
-struct SoakResult {
-  std::uint64_t steps = 0;
-  double sim_seconds = 0.0;
-  std::uint64_t windows_opened = 0;
-  std::uint64_t windows_closed = 0;
-  double drained_mj = 0.0;
-  double ea_total_mj = 0.0;
-};
-
-SoakResult run_seed(std::uint64_t seed) {
-  apps::Testbed bed({.seed = seed});
-  if (seed % 2 == 0) bed.server().lmk().set_budget_mb(400);
-  apps::RandomWorkload workload(bed, {.seed = seed});
-  bed.start();
-  workload.run(kSteps);
-  bed.run_for(sim::seconds(1));
-  return SoakResult{workload.steps_taken(),
-                    bed.sim().now().seconds(),
-                    bed.eandroid()->tracker().opened_total(),
-                    bed.eandroid()->tracker().closed_total(),
-                    bed.server().battery().consumed_total_mj(),
-                    bed.eandroid()->engine().true_total_mj()};
-}
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -75,7 +49,7 @@ std::vector<exp::ParallelRunner<SoakResult>::Job> make_jobs() {
   std::vector<exp::ParallelRunner<SoakResult>::Job> jobs;
   jobs.reserve(kSeeds);
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    jobs.push_back([seed] { return run_seed(seed); });
+    jobs.push_back([seed] { return bench::run_soak_seed(seed); });
   }
   return jobs;
 }
@@ -131,7 +105,7 @@ int main() {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf("=== parallel scaling: %llu-seed soak, %d steps each "
               "(hardware_concurrency=%u) ===\n\n",
-              static_cast<unsigned long long>(kSeeds), kSteps, hw);
+              static_cast<unsigned long long>(kSeeds), bench::kSoakSteps, hw);
 
   const auto serial_start = Clock::now();
   const std::vector<SoakResult> serial =
@@ -185,8 +159,8 @@ int main() {
                  "  \"serial\": {\"wall_s\": %.4f, \"sims_per_wall_s\": "
                  "%.1f},\n"
                  "  \"parallel\": [",
-                 static_cast<unsigned long long>(kSeeds), kSteps, sim_seconds,
-                 hw, serial_wall, sim_seconds / serial_wall);
+                 static_cast<unsigned long long>(kSeeds), bench::kSoakSteps,
+                 sim_seconds, hw, serial_wall, sim_seconds / serial_wall);
     for (std::size_t i = 0; i < measurements.size(); ++i) {
       const Measurement& m = measurements[i];
       std::fprintf(json,

@@ -1,54 +1,23 @@
-// Soak bench: long randomized runs across many seeds, verifying the
-// global invariants hold at scale and reporting throughput (how much
-// simulated phone activity the stack processes per wall second).
+// Soak bench: long randomized runs across many seeds (generated scenario
+// programs, see soak.h), verifying energy conservation holds at scale and
+// reporting throughput (how much simulated phone activity the stack
+// processes per wall second).
 //
 // Seeds are independent simulations, so they fan out across the
 // exp::ParallelRunner; results come back in seed order and are identical
-// to the old serial loop (see bench/parallel_scaling.cpp, which proves
-// that bit for bit).
+// to a serial loop (see bench/parallel_scaling.cpp, which proves that bit
+// for bit).
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
-#include "apps/testbed.h"
-#include "apps/workload.h"
 #include "exp/parallel_runner.h"
-
-namespace {
-
-using namespace eandroid;
-
-struct SoakResult {
-  std::uint64_t steps = 0;
-  double sim_seconds = 0.0;
-  std::uint64_t windows = 0;
-  double drained_mj = 0.0;
-  double ea_total_mj = 0.0;
-
-  [[nodiscard]] bool conserved() const {
-    return std::abs(drained_mj - ea_total_mj) < 1e-3;
-  }
-};
-
-SoakResult run_seed(std::uint64_t seed) {
-  apps::Testbed bed({.seed = seed});
-  if (seed % 2 == 0) bed.server().lmk().set_budget_mb(400);
-  apps::RandomWorkload workload(bed, {.seed = seed});
-  bed.start();
-  workload.run(600);
-  bed.run_for(sim::seconds(1));
-  return SoakResult{workload.steps_taken(), bed.sim().now().seconds(),
-                    bed.eandroid()->tracker().opened_total(),
-                    bed.server().battery().consumed_total_mj(),
-                    bed.eandroid()->engine().true_total_mj()};
-}
-
-}  // namespace
+#include "soak.h"
 
 int main() {
   using namespace eandroid;
+  using bench::SoakResult;
   using Clock = std::chrono::steady_clock;
 
   constexpr std::uint64_t kSeeds = 12;
@@ -61,7 +30,7 @@ int main() {
 
   const auto start = Clock::now();
   const std::vector<SoakResult> results = exp::run_indexed<SoakResult>(
-      kSeeds, [](std::size_t i) { return run_seed(i + 1); });
+      kSeeds, [](std::size_t i) { return bench::run_soak_seed(i + 1); });
   const double wall =
       std::chrono::duration<double>(Clock::now() - start).count();
 
@@ -74,7 +43,7 @@ int main() {
     std::printf("%6llu %10llu %10.1f s %10llu %10.1f %9s\n",
                 static_cast<unsigned long long>(seed),
                 static_cast<unsigned long long>(r.steps), r.sim_seconds,
-                static_cast<unsigned long long>(r.windows),
+                static_cast<unsigned long long>(r.windows_opened),
                 r.drained_mj / 1000.0, r.conserved() ? "yes" : "NO");
   }
   std::printf("\n%d conservation violations; %.0fx realtime (%.1f sim-s "

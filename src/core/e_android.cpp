@@ -5,13 +5,12 @@ namespace eandroid::core {
 EAndroid::EAndroid(framework::SystemServer& server, Mode mode,
                    EngineConfig config)
     : tracker_(server),
-      engine_(server, tracker_,
-              [&] {
-                if (mode == Mode::kFrameworkOnly) {
-                  config.accounting_enabled = false;
-                }
-                return config;
-              }()),
-      interface_(server, engine_) {}
+      engine_(server, tracker_, config),
+      interface_(server, engine_),
+      mode_(mode) {}
+
+void EAndroid::attach(energy::MeteringPipeline& pipeline) {
+  if (mode_ == Mode::kComplete) engine_.attach(pipeline);
+}
 
 }  // namespace eandroid::core

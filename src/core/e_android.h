@@ -12,7 +12,7 @@
 //   core::EAndroid ea(server);                 // subscribes to events
 //   energy::EnergySampler sampler(server);
 //   energy::MeteringPipeline pipeline;
-//   ea.engine().attach(pipeline);
+//   ea.attach(pipeline);
 //   sampler.set_pipeline(&pipeline);
 //   sampler.start();
 //   ...drive scenario...
@@ -42,6 +42,11 @@ class EAndroid {
   explicit EAndroid(framework::SystemServer& server,
                     Mode mode = Mode::kComplete, EngineConfig config = {});
 
+  /// Attaches the accounting engine to the metering pipeline. In
+  /// Mode::kFrameworkOnly it attaches nothing: windows are tracked, but
+  /// the engine sees no slice and charges nothing.
+  void attach(energy::MeteringPipeline& pipeline);
+
   [[nodiscard]] WindowTracker& tracker() { return tracker_; }
   [[nodiscard]] const WindowTracker& tracker() const { return tracker_; }
   [[nodiscard]] EAndroidEngine& engine() { return engine_; }
@@ -57,6 +62,7 @@ class EAndroid {
   WindowTracker tracker_;
   EAndroidEngine engine_;
   EAndroidBatteryInterface interface_;
+  Mode mode_;
 };
 
 }  // namespace eandroid::core

@@ -176,7 +176,7 @@ const std::vector<AppIdx>& EAndroidEngine::closure_of(AppIdx root) {
 }
 
 void EAndroidEngine::attach(energy::MeteringPipeline& pipeline) {
-  if (config_.accounting_enabled) pipeline.set_engine(&direct_store_, this);
+  pipeline.set_engine(&direct_store_, this);
 }
 
 void EAndroidEngine::prepare_slice(const energy::EnergySlice& slice) {

@@ -42,9 +42,6 @@
 namespace eandroid::core {
 
 struct EngineConfig {
-  /// When false the engine drops slices on the floor: the paper's
-  /// "E-Android framework only" overhead configuration.
-  bool accounting_enabled = true;
   /// Ablation: when false only direct windows charge (no chains).
   bool chain_propagation = true;
 };
@@ -55,9 +52,8 @@ class EAndroidEngine : public energy::SliceFoldStage {
                  EngineConfig config = {});
 
   /// Registers the engine on the metering pipeline: the pipeline's cell
-  /// pass folds direct_store(), bracketed by prepare_slice/fold_slice. A
-  /// framework-only engine (accounting disabled) registers nothing, so it
-  /// sees no slice at all.
+  /// pass folds direct_store(), bracketed by prepare_slice/fold_slice.
+  /// (EAndroid::attach skips this in Mode::kFrameworkOnly.)
   void attach(energy::MeteringPipeline& pipeline);
 
   // --- MeteringPipeline stages (energy/pipeline.h) ---

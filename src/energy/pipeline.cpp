@@ -1,7 +1,6 @@
 #include "energy/pipeline.h"
 
 #include "energy/battery_stats.h"
-#include "energy/eprof.h"
 #include "energy/power_tutor.h"
 
 namespace eandroid::energy {
@@ -19,7 +18,6 @@ MeteringPipeline::MeteringPipeline(obs::MetricsRegistry* metrics)
 void MeteringPipeline::run(const EnergySlice& slice) {
   if (battery_stats_ != nullptr) battery_stats_->bind_ids(slice.ids());
   if (power_tutor_ != nullptr) power_tutor_->bind_ids(slice.ids());
-  if (eprof_ != nullptr) eprof_->bind_ids(slice.ids());
 
   // Stage 1: settle per-slice state (window-structure rebuild, accumulator
   // pre-sizing) before any cell is read.
@@ -72,7 +70,6 @@ void MeteringPipeline::run(const EnergySlice& slice) {
         acc.add_routine(r, slice.routine_mj_at(idx, r));
       }
     }
-    if (eprof_ != nullptr) eprof_->fold_app(slice, idx);
   }
   if (direct_ != nullptr) direct_->true_total_mj += running_total;
 

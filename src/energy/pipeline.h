@@ -7,8 +7,8 @@
 // touched apps: it walks slice.active() once, loads each app's five parts
 // once (through the touched view's hoisted column pointers), and feeds
 // them to every accumulator — BatteryStats' part-order sum, PowerTutor's
-// five part columns, the engine's direct store with its routine rows, and
-// eprof. The pass costs O(active): untouched apps are never visited, and
+// five part columns, and the engine's direct store with its routine rows.
+// The pass costs O(active): untouched apps are never visited, and
 // most slices touch none (an idle phone's tick carries only system and
 // screen energy).
 //
@@ -35,7 +35,6 @@ namespace eandroid::energy {
 
 class BatteryStats;
 class PowerTutor;
-class Eprof;
 
 /// Dense per-app direct-energy store: the E-Android engine's "original
 /// energy" accumulator, lifted into the energy layer so the fused cell
@@ -85,7 +84,6 @@ class MeteringPipeline {
   // --- Accumulator registration (all optional; null = stage skipped) ---
   void set_battery_stats(BatteryStats* bs) { battery_stats_ = bs; }
   void set_power_tutor(PowerTutor* pt) { power_tutor_ = pt; }
-  void set_eprof(Eprof* eprof) { eprof_ = eprof; }
   /// Engine registration: `direct` receives the fused per-cell fold (plus
   /// the running battery ground truth); `stage` brackets the cell pass
   /// with the window rebuild and the collateral fold. Pass both or
@@ -123,7 +121,6 @@ class MeteringPipeline {
 
   BatteryStats* battery_stats_ = nullptr;
   PowerTutor* power_tutor_ = nullptr;
-  Eprof* eprof_ = nullptr;
   DirectStore* direct_ = nullptr;
   SliceFoldStage* engine_stage_ = nullptr;
 

@@ -5,6 +5,7 @@
 #include "apps/demo_app.h"
 #include "framework/intent.h"
 #include "framework/system_server.h"
+#include "obs/trace.h"
 #include "sim/check.h"
 
 namespace eandroid::fuzz {
@@ -20,9 +21,9 @@ const char* const kCastPackages[kCastSize] = {"com.fuzz.a", "com.fuzz.b",
 
 namespace {
 
-// The same four specs RandomWorkload installs, so fuzz programs exercise
-// the exact app behaviours (wakelock bug, push handling bursts, camera
-// sessions, settings privileges) the rest of the suite does.
+// The cast: a wakelock-bug victim with an exported service, a
+// backgroundable push-endpoint messenger, a camera app, and a music app
+// privileged to write settings and reorder tasks.
 std::vector<DemoAppSpec> cast_specs() {
   DemoAppSpec a = apps::victim_spec();
   a.package = kCastPackages[0];
@@ -65,6 +66,11 @@ ProgramExecutor::ProgramExecutor(fleet::DeviceContext& bed,
     : bed_(bed), program_(program), options_(options) {}
 
 void ProgramExecutor::arm() {
+  for (std::size_t i = 0; i < program_.steps.size(); ++i) {
+    std::string why;
+    EANDROID_CHECK(step_in_shape(program_.steps[i], &why),
+                   "step " << i << ": " << why);
+  }
   for (std::size_t i = 0; i < program_.steps.size(); ++i) {
     bed_.sim().schedule_at(
         sim::TimePoint{} + sim::micros(program_.steps[i].at_us),
@@ -109,6 +115,13 @@ kernelsim::Uid ProgramExecutor::uid(int app) {
 void ProgramExecutor::apply(const Step& step) {
   framework::SystemServer& server = bed_.server();
   ActorHandles& mine = handles_[step.app];
+  if (op_is_fault(step.op)) {
+    ++faults_;
+    EANDROID_TRACE_LIT(bed_.sim().trace(), bed_.sim().now().micros(),
+                       obs::TraceCategory::kFault, to_string(step.op),
+                       op_has_actor(step.op) ? uid(step.app).value : -1,
+                       step.a);
+  }
   switch (step.op) {
     case OpKind::kUserLaunch:
       server.user_launch(kCastPackages[step.app]);

@@ -10,6 +10,11 @@
 // a valid program unreplayable. All legs replay identical call
 // sequences, so those no-ops are identical across legs too.
 //
+// Each fault op leaves one TraceCategory::kFault mark named by its op
+// token (uid = the actor for kill_app/hang_toggle, arg = parameter a),
+// recorded just before the fault is applied, so a trace shows the fault
+// ahead of the kills, restarts and ANRs it causes.
+//
 // Optional per-step invariant checking (the fuzzer's first oracle): after
 // each step the sampler is flushed and the full InvariantChecker runs.
 // Flushing mid-run moves sample-window boundaries, so a checking run has
@@ -56,7 +61,9 @@ class ProgramExecutor {
                   Options options);
 
   /// Schedules every step at its absolute instant on the device's
-  /// simulator. Checked error if any step is already in the past.
+  /// simulator. Checked error if any step fails the grammar's static
+  /// step check (step_in_shape: an out-of-range cast index would index
+  /// past the handle tables) or is already in the past.
   void arm();
 
   /// Runs the whole program on a standalone device: arm, advance to the
@@ -72,6 +79,8 @@ class ProgramExecutor {
     return violations_;
   }
   [[nodiscard]] std::uint64_t steps_applied() const { return applied_; }
+  /// Applied steps that were fault ops (op_is_fault).
+  [[nodiscard]] std::uint64_t faults_applied() const { return faults_; }
 
  private:
   void apply(const Step& step);
@@ -91,6 +100,7 @@ class ProgramExecutor {
   ActorHandles handles_[kCastSize];
   std::vector<std::string> violations_;
   std::uint64_t applied_ = 0;
+  std::uint64_t faults_ = 0;
 };
 
 }  // namespace eandroid::fuzz

@@ -113,8 +113,8 @@ OpShape shape_of(OpKind op) {
   return {};
 }
 
-/// Static (state-free) step checks: index ranges, parameter envelopes,
-/// and the all-unused-fields-zero canonical-form rule.
+}  // namespace
+
 bool step_in_shape(const Step& step, std::string* why) {
   const auto fail = [why](const char* msg) {
     if (why != nullptr) *why = msg;
@@ -148,8 +148,6 @@ bool step_in_shape(const Step& step, std::string* why) {
   }
   return true;
 }
-
-}  // namespace
 
 const char* to_string(OpKind op) {
   return kOpNames[static_cast<int>(op)].name;
@@ -232,7 +230,8 @@ bool ScenarioProgram::parse(const std::string& text, ScenarioProgram* out,
       return fail(line_no, "expected 'steps <n>'");
     }
   }
-  program.steps.reserve(step_count);
+  // No reserve(step_count): the count is untrusted input, and a huge one
+  // must fail as a missing step line, not as an allocation error.
   for (std::size_t i = 0; i < step_count; ++i) {
     if (!next_line()) return fail(line_no, "unexpected end of steps");
     std::istringstream fields(line);

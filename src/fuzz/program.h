@@ -91,6 +91,8 @@ bool op_from_string(const std::string& token, OpKind* out);
 /// True when the op's `app` field names an acting cast member (false for
 /// global ops — user gestures, charger, fault windows — whose app is 0).
 bool op_has_actor(OpKind op);
+/// True for the six fault-injection ops (the tail of OpKind, kKillApp on).
+inline bool op_is_fault(OpKind op) { return op >= OpKind::kKillApp; }
 
 struct Step {
   /// Absolute virtual instant, strictly increasing along the program.
@@ -107,6 +109,11 @@ struct Step {
 
   bool operator==(const Step&) const = default;
 };
+
+/// The grammar's static (state-free) step check: op known, cast indices
+/// in range, parameters inside the op's envelope, unused fields zero.
+/// Returns false with a short reason in `why` (when non-null).
+bool step_in_shape(const Step& step, std::string* why = nullptr);
 
 struct ScenarioProgram {
   /// Generator seed (provenance only; replay never re-draws randomness).

@@ -8,7 +8,7 @@
 #include "core/window.h"
 #include "framework/activity_manager.h"
 #include "framework/events.h"
-#include "sim/fault.h"
+#include "fuzz/program.h"
 
 namespace eandroid {
 namespace {
@@ -57,17 +57,19 @@ TEST(EnumStringsTest, ActivityStatesAllNamed) {
 }
 
 TEST(EnumStringsTest, FaultKindsAllNamed) {
-  using sim::FaultKind;
-  int named = 0;
-  for (FaultKind kind :
-       {FaultKind::kKillApp, FaultKind::kKillLockHolder, FaultKind::kHangApp,
-        FaultKind::kBinderFailure, FaultKind::kDropBroadcast,
-        FaultKind::kDelayAlarms, FaultKind::kBatteryExhaust}) {
-    EXPECT_STRNE(sim::to_string(kind), "?");
-    ++named;
+  // The grammar's fault ops: their tokens name the trace's fault marks.
+  using fuzz::OpKind;
+  int faults = 0;
+  for (int i = 0; i < fuzz::kOpKindCount; ++i) {
+    const OpKind op = static_cast<OpKind>(i);
+    OpKind parsed{};
+    ASSERT_TRUE(fuzz::op_from_string(fuzz::to_string(op), &parsed)) << i;
+    EXPECT_EQ(parsed, op);
+    if (fuzz::op_is_fault(op)) ++faults;
   }
-  EXPECT_EQ(named, sim::kFaultKindCount);
-  EXPECT_STREQ(sim::to_string(FaultKind::kBatteryExhaust), "battery_exhaust");
+  EXPECT_EQ(faults, 6);
+  EXPECT_STREQ(fuzz::to_string(OpKind::kKillApp), "kill_app");
+  EXPECT_STREQ(fuzz::to_string(OpKind::kBatteryExhaust), "battery_exhaust");
 }
 
 TEST(EnumStringsTest, AlertKindsAllNamed) {

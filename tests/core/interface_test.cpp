@@ -157,7 +157,7 @@ TEST_F(InterfaceTest, FrameworkOnlyModeTracksWithoutAccounting) {
   // Windows are tracked...
   EXPECT_EQ(framework_only.tracker().open_count(), 1u);
   // ...but slices are dropped.
-  fold(framework_only.engine(), slice(10.0, 100.0));
+  fold(framework_only, slice(10.0, 100.0));
   EXPECT_DOUBLE_EQ(framework_only.engine().true_total_mj(), 0.0);
 }
 

@@ -24,9 +24,9 @@
 #include "apps/malware.h"
 #include "apps/testbed.h"
 #include "fleet/aggregate.h"
-#include "fleet/fault_actions.h"
 #include "fleet/fleet.h"
-#include "sim/fault.h"
+#include "fuzz/executor.h"
+#include "fuzz/generator.h"
 
 namespace eandroid::fleet {
 namespace {
@@ -176,29 +176,39 @@ TEST(FleetTest, DigestsIndependentOfEpochLength) {
 }
 
 TEST(FleetTest, ChaosOnASubsetIsWorkerIndependent) {
-  // Faults on every third device, via the same seeded plans the chaos
-  // harness uses; per-device digests must still match the reference.
+  // A generated scenario program (the chaos harness's programs: framework
+  // traffic plus fault ops) armed on every third device, seeded by the
+  // device; per-device digests must still match the reference.
+  const auto with_cast = [](FleetOptions options) {
+    auto plan = std::make_shared<InstallPlan>(*options.install_plan);
+    const std::shared_ptr<const InstallPlan> cast = fuzz::cast_install_plan();
+    for (const InstallPlan::Entry& entry : cast->entries()) {
+      plan->add(entry.manifest, entry.make_code);
+    }
+    options.install_plan = std::move(plan);
+    return options;
+  };
   const auto run = [](FleetOptions options) {
     Fleet fleet(std::move(options));
     fleet.broker().add_campaign(flood_campaign(6));
     fleet.start();
-    std::vector<std::unique_ptr<sim::FaultInjector>> injectors;
+    std::vector<std::unique_ptr<fuzz::ProgramExecutor>> executors;
     for (std::size_t i = 0; i < fleet.size(); i += 3) {
       DeviceContext& device = fleet.device(i);
-      const sim::FaultPlan plan = sim::FaultPlan::generate(
-          device.spec().seed, sim::seconds(10), /*count=*/5);
-      injectors.push_back(std::make_unique<sim::FaultInjector>(
-          device.sim(), default_fault_actions(device.server())));
-      injectors.back()->arm(plan);
+      executors.push_back(std::make_unique<fuzz::ProgramExecutor>(
+          device, fuzz::generate({.seed = device.spec().seed,
+                                  .min_steps = 6,
+                                  .max_steps = 12})));
+      executors.back()->arm();
     }
     fleet.run_for(sim::seconds(12));
     fleet.finish();
     return fleet.energy_digests();
   };
   const std::vector<std::string> reference =
-      run(reference_options(/*devices=*/24));
+      run(with_cast(reference_options(/*devices=*/24)));
   for (const unsigned workers : {1u, 4u, 8u}) {
-    EXPECT_EQ(run(small_fleet_options(24, workers)), reference)
+    EXPECT_EQ(run(with_cast(small_fleet_options(24, workers))), reference)
         << "workers=" << workers;
   }
   // Sanity: the faulted devices diverged from the clean ones.

@@ -26,6 +26,27 @@ TEST(CheckedErrorsTest, ArmingAProgramAfterItsFirstInstantThrows) {
   EXPECT_THROW(executor.arm(), sim::CheckFailure);
 }
 
+TEST(CheckedErrorsTest, ArmingAnOutOfRangeActorThrows) {
+  // parse() accepts any byte-sized cast index; the executor indexes its
+  // handle tables by it, so arm() must refuse before anything runs.
+  const std::string text =
+      "eandroid-fuzz-program v1\n"
+      "seed 1\n"
+      "horizon_us 2000000\n"
+      "steps 1\n"
+      "1000000 acquire_wakelock 7 0 0 0\n"
+      "end\n";
+  ScenarioProgram program;
+  std::string error;
+  ASSERT_TRUE(ScenarioProgram::parse(text, &program, &error)) << error;
+  fleet::DeviceContext bed{fleet::DeviceSpec{}};
+  install_cast(bed);
+  bed.start();
+  ProgramExecutor executor(bed, program);
+  EXPECT_THROW(executor.arm(), sim::CheckFailure);
+  EXPECT_EQ(executor.steps_applied(), 0u);
+}
+
 TEST(CheckedErrorsTest, BrokerMutationAfterFreezeThrows) {
   fleet::PushBroker broker;
   fleet::PushCampaign campaign;

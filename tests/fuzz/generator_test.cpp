@@ -143,6 +143,18 @@ TEST(ProgramTest, ParseRejectsGarbageWithLineNumbers) {
     EXPECT_FALSE(ScenarioProgram::parse(text, &out, &error));
     EXPECT_NE(error.find("line"), std::string::npos) << error;
   }
+
+  // An untrusted step count is never an allocation size: each of these
+  // is a missing step line, not a length_error or bad_alloc.
+  for (const char* count : {"18446744073709551615", "-1", "100000000000"}) {
+    const std::string header = std::string(
+        "eandroid-fuzz-program v1\nseed 1\nhorizon_us 10\nsteps ") + count +
+        "\nend\n";
+    error.clear();
+    EXPECT_FALSE(ScenarioProgram::parse(header, &out, &error)) << count;
+    EXPECT_NE(error.find("line 5"), std::string::npos) << count << ": "
+                                                       << error;
+  }
 }
 
 TEST(ProgramTest, ParseSkipsComments) {

@@ -17,11 +17,11 @@
 #include <string>
 #include <vector>
 
-#include "apps/chaos.h"
 #include "apps/demo_app.h"
 #include "apps/testbed.h"
 #include "fleet/aggregate.h"
 #include "fleet/fleet.h"
+#include "fuzz/chaos.h"
 #include "obs/export.h"
 
 namespace eandroid::obs {
@@ -62,12 +62,10 @@ ParsedTrace parse_trace(const std::string& text) {
   return parsed;
 }
 
-apps::ChaosOptions chaos_options(std::uint64_t seed, bool traced) {
-  apps::ChaosOptions options;
+fuzz::ChaosOptions chaos_options(std::uint64_t seed, bool traced) {
+  fuzz::ChaosOptions options;
   options.seed = seed;
-  options.workload_steps = 40;
-  options.fault_count = 8;
-  options.horizon = sim::seconds(30);
+  options.steps = 40;
   if (traced) {
     options.obs.trace = true;
     // Big enough that no chaos seed wraps the ring: a wrapped trace
@@ -79,7 +77,8 @@ apps::ChaosOptions chaos_options(std::uint64_t seed, bool traced) {
 
 TEST(TraceResummationTest, SliceArgsReproduceBatteryTotalAcross64Seeds) {
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    const apps::ChaosResult result = run_chaos(chaos_options(seed, true));
+    const fuzz::ChaosResult result =
+        fuzz::run_chaos(chaos_options(seed, true));
     ASSERT_FALSE(result.trace_text.empty()) << "seed " << seed;
     const ParsedTrace parsed = parse_trace(result.trace_text);
     ASSERT_EQ(parsed.dropped, 0u)
@@ -93,8 +92,10 @@ TEST(TraceResummationTest, SliceArgsReproduceBatteryTotalAcross64Seeds) {
 
 TEST(TraceResummationTest, TracingMovesNoBitOfTheChaosDigest) {
   for (std::uint64_t seed : {3u, 17u, 42u}) {
-    const apps::ChaosResult plain = run_chaos(chaos_options(seed, false));
-    const apps::ChaosResult traced = run_chaos(chaos_options(seed, true));
+    const fuzz::ChaosResult plain =
+        fuzz::run_chaos(chaos_options(seed, false));
+    const fuzz::ChaosResult traced =
+        fuzz::run_chaos(chaos_options(seed, true));
     EXPECT_EQ(plain.digest(), traced.digest()) << "seed " << seed;
     EXPECT_TRUE(plain.trace_text.empty());
     EXPECT_FALSE(traced.trace_text.empty());

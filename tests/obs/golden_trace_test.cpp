@@ -25,9 +25,9 @@
 #include <string_view>
 #include <vector>
 
-#include "apps/chaos.h"
 #include "apps/scenarios.h"
 #include "apps/testbed.h"
+#include "fuzz/chaos.h"
 
 namespace eandroid::obs {
 
@@ -144,14 +144,12 @@ TEST(GoldenTraceTest, Attack6WakelockLeak) {
 }
 
 TEST(GoldenTraceTest, ChaosSeed7) {
-  apps::ChaosOptions options;
+  fuzz::ChaosOptions options;
   options.seed = 7;
-  options.workload_steps = 20;
-  options.fault_count = 8;
-  options.horizon = sim::seconds(20);
+  options.steps = 20;
   options.obs.trace = true;
   options.obs.trace_capacity = 1u << 18;
-  const apps::ChaosResult result = apps::run_chaos(options);
+  const fuzz::ChaosResult result = fuzz::run_chaos(options);
   check_golden("chaos_seed7", result.trace_text, /*chrome_json=*/"");
 }
 

@@ -1,6 +1,7 @@
 // Metering hot-path profile: throughput, allocations and the gather/fold
 // split of the production metering tick (reused buffers, cached window
-// structures, the fused MeteringPipeline fold).
+// structures, one ordered sink chain folding each slice into the engine,
+// BatteryStats and PowerTutor).
 //
 // The workload is metering-dominated by design: a dozen apps with steady
 // CPU loads and routine tags, two bound-service collateral windows for the
@@ -9,7 +10,9 @@
 // exactly the regime long soaks and large sweeps live in, where per-tick
 // cost gates throughput.
 //
-// One leg, written to BENCH_hotpath.json under "fused": sims-per-wall-
+// One leg, written to BENCH_hotpath.json under "fused" (the key, and the
+// CI gate that reads it, predate the sink-chain fold and are kept so the
+// committed baselines stay comparable): sims-per-wall-
 // second, ticks-per-wall-second, allocations per tick over the timed
 // window, steady-state allocations per tick (must be exactly zero — a
 // steady-state allocation fails the bench), and — from a separate
@@ -151,7 +154,7 @@ LegResult run_leg() {
       static_cast<double>(steady_ticks);
 
   // Stage-profiling window: split the tick into gather (+seal + battery
-  // flow) vs fold (pipeline). Timing is enabled only
+  // flow) vs fold (the sink chain). Timing is enabled only
   // here, so the throughput window below never pays the clock reads.
   sampler.enable_stage_timing(true);
   bed.sim().run_for(sim::seconds(kStageS));

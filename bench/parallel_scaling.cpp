@@ -1,10 +1,17 @@
-// Serial vs parallel throughput of the experiment runner on the 12-seed
+// Serial vs parallel throughput of the experiment runner on a 768-seed
 // soak workload (soak.h), plus the determinism contract: every per-seed result
 // (drain, windows, steps, conservation inputs) must be BITWISE identical
 // to the serial path — fan-out may only change wall time, never physics.
 //
+// The seed count keeps the serial leg well above half a second on a
+// 4-core machine, so thread start-up and scheduling noise cannot pass
+// for scaling. Each leg runs kReps times, legs interleaved within a rep
+// so machine drift hits them alike; wall time is reported as the median
+// with min and max, and speedup as the ratio of medians.
+//
 // Emits BENCH_parallel.json (machine-readable) so future PRs can track
 // the perf trajectory across commits and machines.
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -23,7 +30,8 @@ using namespace eandroid;
 using bench::SoakResult;
 using Clock = std::chrono::steady_clock;
 
-constexpr std::uint64_t kSeeds = 12;
+constexpr std::uint64_t kSeeds = 768;
+constexpr int kReps = 5;
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -60,11 +68,28 @@ double total_sim_seconds(const std::vector<SoakResult>& results) {
   return total;
 }
 
+/// Median, min and max wall time of one leg over its reps.
+struct WallStats {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+WallStats stats_of(std::vector<double> walls) {
+  std::sort(walls.begin(), walls.end());
+  const std::size_t n = walls.size();
+  const double median = n % 2 == 1
+                            ? walls[n / 2]
+                            : 0.5 * (walls[n / 2 - 1] + walls[n / 2]);
+  return {median, walls.front(), walls.back()};
+}
+
 struct Measurement {
-  unsigned threads = 0;  // 0 = serial reference
-  double wall_s = 0.0;
-  double sims_per_wall_s = 0.0;
-  double speedup = 1.0;
+  unsigned threads = 0;
+  std::vector<double> walls;
+  WallStats wall;
+  double sims_per_wall_s = 0.0;  // at the median wall
+  double speedup = 1.0;          // serial median / this median
   bool identical_to_serial = true;
   /// More workers than cores: wall time then measures scheduler churn,
   /// not scaling, so no speedup claim is made for this row.
@@ -103,48 +128,69 @@ int main() {
   using namespace eandroid;
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("=== parallel scaling: %llu-seed soak, %d steps each "
+  std::printf("=== parallel scaling: %llu-seed soak, %d steps each, %d reps "
               "(hardware_concurrency=%u) ===\n\n",
-              static_cast<unsigned long long>(kSeeds), bench::kSoakSteps, hw);
+              static_cast<unsigned long long>(kSeeds), bench::kSoakSteps,
+              kReps, hw);
 
-  const auto serial_start = Clock::now();
-  const std::vector<SoakResult> serial =
-      exp::ParallelRunner<SoakResult>::run_serial(make_jobs());
-  const double serial_wall =
-      std::chrono::duration<double>(Clock::now() - serial_start).count();
-  const double sim_seconds = total_sim_seconds(serial);
-
-  std::printf("%8s %10s %16s %9s %10s\n", "threads", "wall (s)",
-              "sim-s / wall-s", "speedup", "identical");
-  std::printf("%8s %10.2f %16.0f %8.2fx %10s\n", "serial", serial_wall,
-              sim_seconds / serial_wall, 1.0, "--");
+  const auto time_run = [](auto&& run) {
+    const auto start = Clock::now();
+    auto results = run();
+    return std::make_pair(
+        std::chrono::duration<double>(Clock::now() - start).count(),
+        std::move(results));
+  };
 
   const std::vector<unsigned> configs = thread_configs(hw);
-  std::vector<Measurement> measurements;
+  std::vector<double> serial_walls;
+  std::vector<Measurement> measurements(configs.size());
+  std::vector<SoakResult> serial;
   bool all_identical = true;
-  for (const unsigned threads : configs) {
-    const auto start = Clock::now();
-    const std::vector<SoakResult> parallel =
-        exp::ParallelRunner<SoakResult>({.threads = threads})
-            .run(make_jobs());
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    Measurement m;
-    m.threads = threads;
-    m.wall_s = wall;
-    m.sims_per_wall_s = sim_seconds / wall;
-    m.speedup = serial_wall / wall;
-    m.identical_to_serial = identical(serial, parallel);
-    m.oversubscribed = threads > hw;
-    all_identical = all_identical && m.identical_to_serial;
-    measurements.push_back(m);
-    if (m.oversubscribed) {
-      std::printf("%8u %10.2f %16.0f %9s %10s\n", threads, wall,
-                  m.sims_per_wall_s, "--", m.identical_to_serial ? "yes" : "NO");
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto [serial_wall, serial_results] = time_run([] {
+      return exp::ParallelRunner<SoakResult>::run_serial(make_jobs());
+    });
+    serial_walls.push_back(serial_wall);
+    if (rep == 0) {
+      serial = std::move(serial_results);
     } else {
-      std::printf("%8u %10.2f %16.0f %8.2fx %10s\n", threads, wall,
-                  m.sims_per_wall_s, m.speedup,
-                  m.identical_to_serial ? "yes" : "NO");
+      all_identical = all_identical && identical(serial, serial_results);
+    }
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      const unsigned threads = configs[c];
+      auto [wall, parallel] = time_run([threads] {
+        return exp::ParallelRunner<SoakResult>({.threads = threads})
+            .run(make_jobs());
+      });
+      Measurement& m = measurements[c];
+      m.threads = threads;
+      m.walls.push_back(wall);
+      m.identical_to_serial =
+          m.identical_to_serial && identical(serial, parallel);
+      all_identical = all_identical && m.identical_to_serial;
+    }
+  }
+  const double sim_seconds = total_sim_seconds(serial);
+  const WallStats serial_stats = stats_of(serial_walls);
+
+  std::printf("%8s %10s %10s %10s %16s %9s %10s\n", "threads", "median (s)",
+              "min (s)", "max (s)", "sim-s / wall-s", "speedup", "identical");
+  std::printf("%8s %10.3f %10.3f %10.3f %16.0f %8.2fx %10s\n", "serial",
+              serial_stats.median, serial_stats.min, serial_stats.max,
+              sim_seconds / serial_stats.median, 1.0, "--");
+  for (Measurement& m : measurements) {
+    m.wall = stats_of(m.walls);
+    m.sims_per_wall_s = sim_seconds / m.wall.median;
+    m.speedup = serial_stats.median / m.wall.median;
+    m.oversubscribed = m.threads > hw;
+    if (m.oversubscribed) {
+      std::printf("%8u %10.3f %10.3f %10.3f %16.0f %9s %10s\n", m.threads,
+                  m.wall.median, m.wall.min, m.wall.max, m.sims_per_wall_s,
+                  "--", m.identical_to_serial ? "yes" : "NO");
+    } else {
+      std::printf("%8u %10.3f %10.3f %10.3f %16.0f %8.2fx %10s\n", m.threads,
+                  m.wall.median, m.wall.min, m.wall.max, m.sims_per_wall_s,
+                  m.speedup, m.identical_to_serial ? "yes" : "NO");
     }
   }
 
@@ -156,17 +202,21 @@ int main() {
                  "  \"workload\": {\"seeds\": %llu, \"steps\": %d, "
                  "\"sim_seconds\": %.3f},\n"
                  "  \"effective_cores\": %u,\n"
-                 "  \"serial\": {\"wall_s\": %.4f, \"sims_per_wall_s\": "
-                 "%.1f},\n"
+                 "  \"reps\": %d,\n"
+                 "  \"serial\": {\"wall_s\": %.4f, \"wall_s_min\": %.4f, "
+                 "\"wall_s_max\": %.4f, \"sims_per_wall_s\": %.1f},\n"
                  "  \"parallel\": [",
                  static_cast<unsigned long long>(kSeeds), bench::kSoakSteps,
-                 sim_seconds, hw, serial_wall, sim_seconds / serial_wall);
+                 sim_seconds, hw, kReps, serial_stats.median, serial_stats.min,
+                 serial_stats.max, sim_seconds / serial_stats.median);
     for (std::size_t i = 0; i < measurements.size(); ++i) {
       const Measurement& m = measurements[i];
       std::fprintf(json,
                    "%s\n    {\"threads\": %u, \"wall_s\": %.4f, "
+                   "\"wall_s_min\": %.4f, \"wall_s_max\": %.4f, "
                    "\"sims_per_wall_s\": %.1f, ",
-                   i == 0 ? "" : ",", m.threads, m.wall_s, m.sims_per_wall_s);
+                   i == 0 ? "" : ",", m.threads, m.wall.median, m.wall.min,
+                   m.wall.max, m.sims_per_wall_s);
       if (m.oversubscribed) {
         // More workers than cores: speedup would be noise, not scaling.
         std::fprintf(json, "\"speedup\": null, \"oversubscribed\": true, ");

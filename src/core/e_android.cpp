@@ -9,8 +9,8 @@ EAndroid::EAndroid(framework::SystemServer& server, Mode mode,
       interface_(server, engine_),
       mode_(mode) {}
 
-void EAndroid::attach(energy::MeteringPipeline& pipeline) {
-  if (mode_ == Mode::kComplete) engine_.attach(pipeline);
+void EAndroid::attach(energy::EnergySampler& sampler) {
+  if (mode_ == Mode::kComplete) sampler.add_sink(&engine_);
 }
 
 }  // namespace eandroid::core

@@ -4,16 +4,15 @@
 //   2. enhanced accounting  -> EAndroidEngine (Algorithm 1)
 //   3. revised interface    -> EAndroidBatteryInterface (Fig 8 view)
 //
-// Construct one per device, attach its engine to the sampler's metering
-// pipeline, and read the view when the experiment ends:
+// Construct one per device, attach it to the sampler (its engine joins
+// the sink chain; a device attaches it before any other sink), and read
+// the view when the experiment ends:
 //
 //   framework::SystemServer server(sim);
 //   ...install apps... server.boot();
 //   core::EAndroid ea(server);                 // subscribes to events
 //   energy::EnergySampler sampler(server);
-//   energy::MeteringPipeline pipeline;
-//   ea.attach(pipeline);
-//   sampler.set_pipeline(&pipeline);
+//   ea.attach(sampler);
 //   sampler.start();
 //   ...drive scenario...
 //   std::cout << ea.view().render("after scenario");
@@ -26,6 +25,7 @@
 #include "core/battery_interface.h"
 #include "core/engine.h"
 #include "core/window_tracker.h"
+#include "energy/sampler.h"
 #include "framework/system_server.h"
 
 namespace eandroid::core {
@@ -42,10 +42,10 @@ class EAndroid {
   explicit EAndroid(framework::SystemServer& server,
                     Mode mode = Mode::kComplete, EngineConfig config = {});
 
-  /// Attaches the accounting engine to the metering pipeline. In
-  /// Mode::kFrameworkOnly it attaches nothing: windows are tracked, but
-  /// the engine sees no slice and charges nothing.
-  void attach(energy::MeteringPipeline& pipeline);
+  /// Adds the accounting engine to the sampler's sink chain. In
+  /// Mode::kFrameworkOnly it adds nothing: windows are tracked, but the
+  /// engine sees no slice and charges nothing.
+  void attach(energy::EnergySampler& sampler);
 
   [[nodiscard]] WindowTracker& tracker() { return tracker_; }
   [[nodiscard]] const WindowTracker& tracker() const { return tracker_; }

@@ -16,6 +16,8 @@ void sort_unique(std::vector<AppIdx>& v) {
 }
 }  // namespace
 
+std::atomic<int> EAndroidEngine::test_skip_part_{-1};
+
 EAndroidEngine::EAndroidEngine(framework::SystemServer& server,
                                WindowTracker& tracker, EngineConfig config)
     : server_(server), tracker_(tracker), config_(config), ids_(server.ids()) {
@@ -35,25 +37,22 @@ EAndroidEngine::EAndroidEngine(framework::SystemServer& server,
 
 double EAndroidEngine::direct_mj(kernelsim::Uid uid) const {
   const AppIdx idx = ids_.find_app(uid);
-  const auto& direct = direct_store_.by_app;
-  return idx < direct.size() ? direct[idx].sum() : 0.0;
+  return idx < direct_.size() ? direct_[idx].sum() : 0.0;
 }
 
 const energy::AppSliceEnergy* EAndroidEngine::direct_breakdown(
     kernelsim::Uid uid) const {
   const AppIdx idx = ids_.find_app(uid);
-  const auto& direct = direct_store_.by_app;
-  if (idx >= direct.size() || direct[idx].sum() <= 0.0) return nullptr;
-  return &direct[idx];
+  if (idx >= direct_.size() || direct_[idx].sum() <= 0.0) return nullptr;
+  return &direct_[idx];
 }
 
 double EAndroidEngine::direct_routine_mj(kernelsim::Uid uid,
                                          std::string_view routine) const {
   const AppIdx idx = ids_.find_app(uid);
-  const auto& direct = direct_store_.by_app;
-  if (idx >= direct.size()) return 0.0;
+  if (idx >= direct_.size()) return 0.0;
   const kernelsim::RoutineIdx r = ids_.find_routine(routine);
-  return r == kNoIdx ? 0.0 : direct[idx].routine_mj_of(r);
+  return r == kNoIdx ? 0.0 : direct_[idx].routine_mj_of(r);
 }
 
 double EAndroidEngine::collateral_mj(kernelsim::Uid uid) const {
@@ -128,7 +127,7 @@ void EAndroidEngine::rebuild_window_structures() {
   // per-slice growth guards below become cold branches — steady-state
   // slices never resize.
   const std::size_t apps = ids_.app_count();
-  direct_store_.ensure(apps);
+  if (direct_.size() < apps) direct_.resize(apps);
   if (screen_coll_.size() < apps) screen_coll_.resize(apps, 0.0);
   if (delta_scratch_.size() < apps) delta_scratch_.resize(apps, 0.0);
   cached_generation_ = tracker_.generation();
@@ -175,22 +174,46 @@ const std::vector<AppIdx>& EAndroidEngine::closure_of(AppIdx root) {
   return out;
 }
 
-void EAndroidEngine::attach(energy::MeteringPipeline& pipeline) {
-  pipeline.set_engine(&direct_store_, this);
-}
-
-void EAndroidEngine::prepare_slice(const energy::EnergySlice& slice) {
+void EAndroidEngine::on_slice(const energy::EnergySlice& slice) {
   assert(&slice.ids() == &ids_);
-  (void)slice;
   // The window-derived structures only change when a window opens or
-  // closes; most slices reuse them untouched.
+  // closes; most slices reuse them untouched. Rebuilding before the folds
+  // is what makes a window opened during this slice charge in it.
   if (cached_generation_ != tracker_.generation()) {
     rebuild_window_structures();
   }
+  fold_direct(slice);
+  fold_collateral(slice);
 }
 
-void EAndroidEngine::fold_slice(const energy::EnergySlice& slice) {
-  assert(&slice.ids() == &ids_);
+void EAndroidEngine::fold_direct(const energy::EnergySlice& slice) {
+  // The test-only fault seam (set_test_skip_part): loop-invariant, so the
+  // disarmed case costs one hoisted compare per part.
+  const int skip = test_skip_part_.load(std::memory_order_relaxed);
+  // The battery ground truth: total_mj()'s exact running sum.
+  double running_total = slice.system_mj + slice.screen_mj;
+  for (const AppIdx idx : slice.active()) {
+    const double cpu = skip == 0 ? 0.0 : slice.cpu_mj(idx);
+    const double camera = skip == 1 ? 0.0 : slice.camera_mj(idx);
+    const double gps = skip == 2 ? 0.0 : slice.gps_mj(idx);
+    const double wifi = skip == 3 ? 0.0 : slice.wifi_mj(idx);
+    const double audio = skip == 4 ? 0.0 : slice.audio_mj(idx);
+    running_total += cpu + camera + gps + wifi + audio;
+    if (direct_.size() <= idx) direct_.resize(idx + 1);
+    energy::AppSliceEnergy& acc = direct_[idx];
+    acc.cpu_mj += cpu;
+    acc.camera_mj += camera;
+    acc.gps_mj += gps;
+    acc.wifi_mj += wifi;
+    acc.audio_mj += audio;
+    for (const kernelsim::RoutineIdx r : slice.routines_at(idx)) {
+      acc.add_routine(r, slice.routine_mj_at(idx, r));
+    }
+  }
+  true_total_mj_ += running_total;
+}
+
+void EAndroidEngine::fold_collateral(const energy::EnergySlice& slice) {
   system_row_mj_ += slice.system_mj;
 
   // 2. Collateral screen energy per driver (dense scratch).
@@ -318,10 +341,9 @@ void EAndroidEngine::fold_slice(const energy::EnergySlice& slice) {
 
 std::vector<kernelsim::Uid> EAndroidEngine::known_uids() const {
   std::vector<kernelsim::Uid> out;
-  const auto& direct = direct_store_.by_app;
-  const std::size_t n = std::max(direct.size(), has_map_.size());
+  const std::size_t n = std::max(direct_.size(), has_map_.size());
   for (AppIdx idx = 0; idx < n; ++idx) {
-    const bool has_direct = idx < direct.size() && direct[idx].sum() > 0.0;
+    const bool has_direct = idx < direct_.size() && direct_[idx].sum() > 0.0;
     const bool has_map = idx < has_map_.size() && has_map_[idx];
     if (has_direct || has_map) out.push_back(ids_.uid_of(idx));
   }
@@ -330,7 +352,8 @@ std::vector<kernelsim::Uid> EAndroidEngine::known_uids() const {
 }
 
 void EAndroidEngine::reset() {
-  direct_store_.clear();
+  direct_.clear();
+  true_total_mj_ = 0.0;
   maps_.clear();
   has_map_.clear();
   screen_row_mj_ = 0.0;

@@ -18,6 +18,11 @@
 //   * service-map inheritance (a driver importing services its driven app
 //     had already bound) is the closure composing driven->service edges.
 //
+// The engine is an AccountingSink: each sealed slice reaches it through
+// the sampler's sink chain, where a device registers it first. on_slice
+// rebuilds the window-derived structures when the window set moved,
+// folds each touched app's direct energy, then attributes collateral.
+//
 // Hot-path layout: every accumulator is dense over interned AppIdx
 // (kernel/interner.h), and the window-derived structures — edge
 // adjacency, driver list, screen/wakelock window lists, and the
@@ -28,13 +33,13 @@
 // every shared accumulation for the bitwise-determinism contract.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/entity.h"
 #include "core/window_tracker.h"
-#include "energy/pipeline.h"
 #include "energy/slice.h"
 #include "framework/system_server.h"
 #include "kernel/interner.h"
@@ -46,27 +51,30 @@ struct EngineConfig {
   bool chain_propagation = true;
 };
 
-class EAndroidEngine : public energy::SliceFoldStage {
+class EAndroidEngine : public energy::AccountingSink {
  public:
   EAndroidEngine(framework::SystemServer& server, WindowTracker& tracker,
                  EngineConfig config = {});
 
-  /// Registers the engine on the metering pipeline: the pipeline's cell
-  /// pass folds direct_store(), bracketed by prepare_slice/fold_slice.
-  /// (EAndroid::attach skips this in Mode::kFrameworkOnly.)
-  void attach(energy::MeteringPipeline& pipeline);
+  /// The one fold, in three steps: rebuild the window-derived structures
+  /// if the tracker generation moved (so a window opened during this
+  /// slice charges in it), fold each touched app's direct energy and the
+  /// battery ground truth, then the system row and the collateral
+  /// attribution (paper Algorithm 1), which emits the engine.collateral
+  /// trace marks.
+  void on_slice(const energy::EnergySlice& slice) override;
 
-  // --- MeteringPipeline stages (energy/pipeline.h) ---
-  /// Pre-cell-pass stage: rebuilds the window-derived structures when the
-  /// tracker generation moved (hoisted out of the fold so the cell pass
-  /// runs against settled, pre-sized state).
-  void prepare_slice(const energy::EnergySlice& slice) override;
-  /// Post-cell-pass stage: the system row and the collateral attribution
-  /// (paper Algorithm 1); emits the engine.collateral trace marks.
-  void fold_slice(const energy::EnergySlice& slice) override;
-  /// The direct-energy accumulator the pipeline's cell pass folds (and
-  /// the battery ground truth it keeps as a running sum).
-  [[nodiscard]] energy::DirectStore& direct_store() { return direct_store_; }
+  /// TEST-ONLY fault seam: while `part` is in [0, 5), every engine's
+  /// direct fold treats that part column as zero in the direct energy
+  /// and the battery ground truth (never in BatteryStats/PowerTutor) — a
+  /// deliberate conservation bug, used to prove the scenario fuzzer's
+  /// invariant leg catches and shrinks real divergences
+  /// (tests/fuzz/injected_bug_test.cpp). -1 (the default) disarms it.
+  /// Process-global so the fault reaches engines constructed deep inside
+  /// oracle legs; tests must restore -1 before passing.
+  static void set_test_skip_part(int part) {
+    test_skip_part_.store(part, std::memory_order_relaxed);
+  }
 
   // --- Accounting results ---
   /// Energy mechanically attributed to the app itself ("original energy").
@@ -102,9 +110,7 @@ class EAndroidEngine : public energy::SliceFoldStage {
   }
   [[nodiscard]] double system_row_mj() const { return system_row_mj_; }
   /// Ground-truth battery drain while accounting (percent denominator).
-  [[nodiscard]] double true_total_mj() const {
-    return direct_store_.true_total_mj;
-  }
+  [[nodiscard]] double true_total_mj() const { return true_total_mj_; }
 
   /// Every uid with direct or collateral energy on record.
   [[nodiscard]] std::vector<kernelsim::Uid> known_uids() const;
@@ -120,6 +126,11 @@ class EAndroidEngine : public energy::SliceFoldStage {
     std::vector<kernelsim::AppIdx> from_touched;  // first-charged order
   };
 
+  /// Adds each touched app's parts and routines to its direct row, and
+  /// the slice to the battery ground truth.
+  void fold_direct(const energy::EnergySlice& slice);
+  /// The system row and the collateral attribution.
+  void fold_collateral(const energy::EnergySlice& slice);
   /// Rebuilds the window-derived structures from the tracker's open set;
   /// also pre-sizes the hot-fold accumulators and scratch to the
   /// interner's population, so steady-state slices never hit a resize
@@ -128,6 +139,8 @@ class EAndroidEngine : public energy::SliceFoldStage {
   /// Apps reachable from `root` through open app->app windows (root
   /// excluded), sorted ascending; memoized until the window set changes.
   const std::vector<kernelsim::AppIdx>& closure_of(kernelsim::AppIdx root);
+
+  static std::atomic<int> test_skip_part_;
 
   [[nodiscard]] const DriverMap* map_at(kernelsim::AppIdx idx) const {
     return idx < has_map_.size() && has_map_[idx] ? &maps_[idx] : nullptr;
@@ -142,9 +155,12 @@ class EAndroidEngine : public energy::SliceFoldStage {
   kernelsim::IdTable& ids_;
 
   // --- Accumulators (dense by AppIdx) ---
-  /// Direct energy + battery ground truth, in the energy-layer shape the
-  /// fused pipeline folds directly (energy/pipeline.h).
-  energy::DirectStore direct_store_;
+  /// Direct ("original") energy per app.
+  std::vector<energy::AppSliceEnergy> direct_;
+  /// Ground-truth battery drain while accounting: accumulated per slice
+  /// with total_mj()'s exact association — system+screen seed the running
+  /// sum, then apps add in ascending index order.
+  double true_total_mj_ = 0.0;
   std::vector<DriverMap> maps_;
   std::vector<std::uint8_t> has_map_;
   double screen_row_mj_ = 0.0;

@@ -6,11 +6,15 @@
 namespace eandroid::energy {
 
 void BatteryStats::on_slice(const EnergySlice& slice) {
-  bind_ids(slice.ids());
+  assert(ids_ == nullptr || ids_ == &slice.ids());
+  ids_ = &slice.ids();
   for (const kernelsim::AppIdx idx : slice.active()) {
-    fold_app(idx, slice.sum_at(idx));
+    if (app_mj_.size() <= idx) app_mj_.resize(idx + 1, 0.0);
+    app_mj_[idx] += slice.sum_at(idx);
   }
-  fold_tail(slice);
+  // Policy rows: screen stays its own row here.
+  screen_mj_ += slice.screen_mj;
+  system_mj_ += slice.system_mj;
 }
 
 double BatteryStats::app_energy_mj(kernelsim::Uid uid) const {

@@ -7,7 +7,6 @@
 // the attacks sidestep.
 #pragma once
 
-#include <cassert>
 #include <vector>
 
 #include "energy/battery_view.h"
@@ -22,25 +21,6 @@ class BatteryStats : public AccountingSink {
       : packages_(packages) {}
 
   void on_slice(const EnergySlice& slice) override;
-
-  // --- Fused-pipeline folds (energy/pipeline.h) ---
-  // on_slice is exactly bind_ids + fold_app per active index + fold_tail;
-  // the pipeline issues the same calls from its single cell pass, so both
-  // paths run the identical additions in the identical order.
-  void bind_ids(const kernelsim::IdTable& ids) {
-    assert(ids_ == nullptr || ids_ == &ids);
-    ids_ = &ids;
-  }
-  /// Folds one active app's part-order sum (slice.sum_at association).
-  void fold_app(kernelsim::AppIdx idx, double sum_mj) {
-    if (app_mj_.size() <= idx) app_mj_.resize(idx + 1, 0.0);
-    app_mj_[idx] += sum_mj;
-  }
-  /// Per-slice tail: the policy rows (screen stays its own row here).
-  void fold_tail(const EnergySlice& slice) {
-    screen_mj_ += slice.screen_mj;
-    system_mj_ += slice.system_mj;
-  }
 
   [[nodiscard]] BatteryView view() const;
   [[nodiscard]] double app_energy_mj(kernelsim::Uid uid) const;

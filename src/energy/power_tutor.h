@@ -7,7 +7,6 @@
 // effects — the paper modified both interfaces, and so do we (core/).
 #pragma once
 
-#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -23,27 +22,6 @@ class PowerTutor : public AccountingSink {
       : packages_(packages) {}
 
   void on_slice(const EnergySlice& slice) override;
-
-  // --- Fused-pipeline folds (energy/pipeline.h) ---
-  // on_slice is exactly bind_ids + fold_app per active index + fold_tail;
-  // the pipeline issues the same calls from its single cell pass, so both
-  // paths run the identical additions in the identical order.
-  void bind_ids(const kernelsim::IdTable& ids) {
-    assert(ids_ == nullptr || ids_ == &ids);
-    ids_ = &ids;
-  }
-  /// Folds one active app's five part cells, in part order.
-  void fold_app(kernelsim::AppIdx idx, double cpu_mj, double camera_mj,
-                double gps_mj, double wifi_mj, double audio_mj) {
-    ensure(idx + 1);
-    cpu_[idx] += cpu_mj;
-    camera_[idx] += camera_mj;
-    gps_[idx] += gps_mj;
-    wifi_[idx] += wifi_mj;
-    audio_[idx] += audio_mj;
-  }
-  /// Per-slice tail: the foreground screen policy plus the system row.
-  void fold_tail(const EnergySlice& slice);
 
   [[nodiscard]] BatteryView view() const;
   [[nodiscard]] double app_energy_mj(kernelsim::Uid uid) const;

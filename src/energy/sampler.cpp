@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "energy/pipeline.h"
-
 namespace eandroid::energy {
 
 const char* to_string(HwPart part) {
@@ -117,9 +115,6 @@ void EnergySampler::gather(sim::TimePoint now, double window_s) {
 }
 
 void EnergySampler::fold() {
-  // Fused first: one cell pass feeds every registered accumulator. The
-  // virtual chain then serves the observers outside the pipeline.
-  if (pipeline_ != nullptr) pipeline_->run(slice_);
   for (AccountingSink* sink : sinks_) sink->on_slice(slice_);
 }
 

@@ -10,10 +10,11 @@
 //
 // The tick runs in three stages: GATHER integrates component power into
 // the persistent slice, SEAL fixes the canonical cell-iteration order,
-// and FOLD feeds the accumulators — through the fused MeteringPipeline
-// when one is attached (set_pipeline), then through the virtual sink
-// chain (add_sink) for the observers outside the pipeline (timeline
-// recorders, detectors, eprof, test sinks).
+// and FOLD hands the sealed slice to every sink in registration order —
+// one ordered chain, the only route a slice takes to any accumulator. A
+// device registers the E-Android engine first, then BatteryStats, then
+// PowerTutor (fleet/device_context.cpp); observers a caller adds
+// (timeline recorders, detectors, eprof, test sinks) run after them.
 //
 // The tick is allocation-free in steady state: ONE EnergySlice lives for
 // the whole run and is reset (not reallocated) per window, component
@@ -36,8 +37,6 @@
 
 namespace eandroid::energy {
 
-class MeteringPipeline;
-
 class EnergySampler {
  public:
   EnergySampler(framework::SystemServer& server,
@@ -47,13 +46,9 @@ class EnergySampler {
   EnergySampler(const EnergySampler&) = delete;
   EnergySampler& operator=(const EnergySampler&) = delete;
 
-  /// Registers an unfused sink. With a pipeline attached these run AFTER
-  /// the fused fold, in registration order.
+  /// Registers a sink. FOLD feeds every slice to the sinks in
+  /// registration order.
   void add_sink(AccountingSink* sink) { sinks_.push_back(sink); }
-
-  /// Attaches the fused fold stage (null detaches). The pipeline runs
-  /// first in FOLD, replacing the profilers' virtual on_slice walks.
-  void set_pipeline(MeteringPipeline* pipeline) { pipeline_ = pipeline; }
 
   /// Starts the periodic loop on the simulator.
   void start();
@@ -68,12 +63,12 @@ class EnergySampler {
   // --- Per-stage wall-clock accounting (bench instrumentation) ---------
   // Off by default: the tick takes zero clock reads. The hotpath bench
   // enables it over a profiling window to split tick cost into gather
-  // (+seal) vs fold (pipeline + sinks). Timing never touches the
+  // (+seal) vs fold (the sink chain). Timing never touches the
   // simulation's arithmetic — results are bit-identical either way.
   void enable_stage_timing(bool on) { stage_timing_ = on; }
   struct StageNanos {
     std::uint64_t gather_ns = 0;  ///< gather + seal + battery flow
-    std::uint64_t fold_ns = 0;    ///< pipeline run + unfused sink chain
+    std::uint64_t fold_ns = 0;    ///< the sink chain
     std::uint64_t ticks = 0;      ///< ticks measured while timing was on
   };
   [[nodiscard]] StageNanos stage_nanos() const { return stage_nanos_; }
@@ -84,13 +79,12 @@ class EnergySampler {
   /// GATHER: integrates CPU, session components, and screen state over
   /// the closed window into the persistent slice.
   void gather(sim::TimePoint now, double window_s);
-  /// FOLD: fused pipeline first (when attached), then the virtual chain.
+  /// FOLD: every sink, in registration order.
   void fold();
 
   framework::SystemServer& server_;
   sim::Duration period_;
   std::vector<AccountingSink*> sinks_;
-  MeteringPipeline* pipeline_ = nullptr;
   std::function<void()> stopper_;
   sim::TimePoint window_begin_;
   std::uint64_t slices_ = 0;

@@ -181,22 +181,6 @@ class EnergySlice {
     return active_;
   }
 
-  /// Touched-delta view: the active list plus the five SoA column base
-  /// pointers the fused fold reads each touched app's parts through
-  /// (energy/pipeline.h). Take it only AFTER seal(): growth (a first-seen
-  /// app) reallocates the columns, invalidating the pointers. Part order
-  /// matches col_of().
-  struct TouchedView {
-    const std::vector<kernelsim::AppIdx>* active = nullptr;
-    const double* parts[kParts] = {};
-  };
-  [[nodiscard]] TouchedView touched_view() const {
-    TouchedView view;
-    view.active = &active_;
-    for (int col = 0; col < kParts; ++col) view.parts[col] = cols_[col].data();
-    return view;
-  }
-
   [[nodiscard]] kernelsim::Uid uid_at(kernelsim::AppIdx idx) const {
     return ids_->uid_of(idx);
   }

@@ -45,16 +45,17 @@ DeviceContext::DeviceContext(DeviceSpec spec)
       server_(sim_, spec_.params, spec_.obs),
       sampler_(server_, spec_.sample_period),
       battery_stats_(server_.packages()),
-      power_tutor_(server_.packages()),
-      pipeline_(sim_.metrics()) {
+      power_tutor_(server_.packages()) {
+  // The fold stage is the sampler's sink chain, in this order: the
+  // engine, BatteryStats, PowerTutor. Sinks a caller adds run after them,
+  // so they see every built-in profiler already folded.
   if (spec_.with_eandroid) {
     eandroid_ = std::make_unique<core::EAndroid>(
         server_, spec_.eandroid_mode, *spec_.engine_config);
-    eandroid_->attach(pipeline_);
+    eandroid_->attach(sampler_);
   }
-  pipeline_.set_battery_stats(&battery_stats_);
-  pipeline_.set_power_tutor(&power_tutor_);
-  sampler_.set_pipeline(&pipeline_);
+  sampler_.add_sink(&battery_stats_);
+  sampler_.add_sink(&power_tutor_);
   if (spec_.install_plan != nullptr) spec_.install_plan->apply(server_);
 }
 

@@ -24,7 +24,6 @@
 #include "core/e_android.h"
 #include "core/engine_report.h"
 #include "energy/battery_stats.h"
-#include "energy/pipeline.h"
 #include "energy/power_tutor.h"
 #include "energy/sampler.h"
 #include "fleet/device_spec.h"
@@ -90,7 +89,6 @@ class DeviceContext {
     return battery_stats_;
   }
   [[nodiscard]] energy::PowerTutor& power_tutor() { return power_tutor_; }
-  [[nodiscard]] energy::MeteringPipeline& pipeline() { return pipeline_; }
   /// Null when constructed with with_eandroid=false (stock Android).
   [[nodiscard]] core::EAndroid* eandroid() { return eandroid_.get(); }
   [[nodiscard]] const core::EAndroid* eandroid() const {
@@ -189,9 +187,6 @@ class DeviceContext {
   energy::BatteryStats battery_stats_;
   energy::PowerTutor power_tutor_;
   std::unique_ptr<core::EAndroid> eandroid_;
-  /// The fold stage: one pass feeds the engine, BatteryStats and
-  /// PowerTutor (energy/pipeline.h).
-  energy::MeteringPipeline pipeline_;
 
   // Prepared-send registry (see section above): campaign index -> slot,
   // and the slots themselves.

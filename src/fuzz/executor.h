@@ -67,7 +67,8 @@ class ProgramExecutor {
   void arm();
 
   /// Runs the whole program on a standalone device: arm, advance to the
-  /// horizon, flush. (Fleet runs advance through Fleet::run_for instead.)
+  /// horizon, flush (DeviceContext::run_for closes the trailing partial
+  /// sample window). Fleet runs advance through Fleet::run_for instead.
   void run();
 
   /// Flushes the sampler and runs the invariant checker now, labelling

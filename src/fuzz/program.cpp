@@ -202,6 +202,10 @@ bool ScenarioProgram::parse(const std::string& text, ScenarioProgram* out,
       ++line_no;
       if (!line.empty() && line[0] != '#') return true;
     }
+    // End of input: errors name the missing line, one past the last (so
+    // an empty input fails at line 1, never line 0).
+    ++line_no;
+    line.clear();
     return false;
   };
 

@@ -97,6 +97,31 @@ class Shrinker {
     return program;
   }
 
+  /// Lowers horizon_us toward the earliest value validate() accepts (the
+  /// last step's instant): that instant first, then binary descent
+  /// between the highest horizon seen passing and the lowest seen
+  /// failing, down to a 1 ms gap.
+  ScenarioProgram minimize_horizon(ScenarioProgram program) {
+    constexpr std::int64_t kGrainUs = 1'000;
+    const std::int64_t floor_us =
+        program.steps.empty() ? 1 : program.steps.back().at_us;
+    if (program.horizon_us <= floor_us) return program;
+    ScenarioProgram candidate = program;
+    candidate.horizon_us = floor_us;
+    if (attempt(&candidate)) return candidate;
+    std::int64_t passing = floor_us;
+    while (program.horizon_us - passing > kGrainUs) {
+      candidate = program;
+      candidate.horizon_us = passing + (program.horizon_us - passing) / 2;
+      if (attempt(&candidate)) {
+        program = std::move(candidate);
+      } else {
+        passing = candidate.horizon_us;
+      }
+    }
+    return program;
+  }
+
  private:
   const std::function<bool(const ScenarioProgram&)>& still_fails_;
   ShrinkStats* stats_;
@@ -120,6 +145,7 @@ ScenarioProgram shrink(
   Shrinker shrinker(still_fails, tracked, options);
   ScenarioProgram reduced = shrinker.ddmin(program);
   reduced = shrinker.minimize_params(std::move(reduced));
+  reduced = shrinker.minimize_horizon(std::move(reduced));
 
   tracked->final_steps = static_cast<int>(reduced.steps.size());
   return reduced;

@@ -1,7 +1,7 @@
 // Auto-shrinker: reduce a failing ScenarioProgram to a minimal one.
 //
-// Two passes, both gated on a caller-supplied "still fails" predicate
-// (typically: run_oracle(candidate) is not ok) and both grammar-safe —
+// Three passes, all gated on a caller-supplied "still fails" predicate
+// (typically: run_oracle(candidate) is not ok) and all grammar-safe —
 // every candidate is normalized through repair() and checked with
 // validate() before the predicate ever sees it, so removing a
 // kBindService drags its kUnbindService out instead of producing an
@@ -12,7 +12,10 @@
 //      still fails;
 //   2. per-step parameter minimization — walk each surviving step's a/b
 //      parameters toward zero (try 0, 1, then binary descent), keeping
-//      any value under which the failure reproduces.
+//      any value under which the failure reproduces;
+//   3. horizon minimization — lower horizon_us toward the last step's
+//      instant (try that instant, then binary descent to 1 ms), so a
+//      reproducer simulates no longer than its failure needs.
 //
 // The result is the smallest program this process reaches, ready to be
 // serialized into tests/fuzz/corpus/ as a forever-regression reproducer.

@@ -24,7 +24,7 @@ using framework::ServiceDecl;
 using framework::WakelockType;
 using framework::testing::RecordingApp;
 using framework::testing::simple_manifest;
-using testing::fold;
+using testing::meter_one_window;
 
 class EngineTest : public ::testing::Test {
  protected:
@@ -84,7 +84,7 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, NoWindowsMeansNoCollateral) {
-  fold(*engine_, slice_with({{"com.a", 100.0}}, 50.0));
+  engine_->on_slice(slice_with({{"com.a", 100.0}}, 50.0));
   EXPECT_DOUBLE_EQ(engine_->direct_mj(uid("com.a")), 100.0);
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 0.0);
   EXPECT_DOUBLE_EQ(engine_->screen_row_mj(), 50.0);
@@ -94,7 +94,7 @@ TEST_F(EngineTest, NoWindowsMeansNoCollateral) {
 TEST_F(EngineTest, OpenWindowChargesDrivenEnergyToDriver) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  fold(*engine_, slice_with({{"com.a", 10.0}, {"com.b", 100.0}}));
+  engine_->on_slice(slice_with({{"com.a", 10.0}, {"com.b", 100.0}}));
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 100.0);
   EXPECT_DOUBLE_EQ(
       engine_->collateral_from(uid("com.a"), Entity::app(uid("com.b"))),
@@ -106,9 +106,9 @@ TEST_F(EngineTest, OpenWindowChargesDrivenEnergyToDriver) {
 TEST_F(EngineTest, ClosedWindowStopsCharging) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  fold(*engine_, slice_with({{"com.b", 100.0}}));
+  engine_->on_slice(slice_with({{"com.b", 100.0}}));
   server_.user_launch("com.b");  // closes the window
-  fold(*engine_, slice_with({{"com.b", 70.0}}));
+  engine_->on_slice(slice_with({{"com.b", 70.0}}));
   // Already-charged energy persists, nothing new accrues.
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 100.0);
 }
@@ -118,7 +118,7 @@ TEST_F(EngineTest, ChainChargesTransitively) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
   ctx("com.b").start_activity(Intent::explicit_for("com.c", "Main"));
-  fold(*engine_, slice_with({{"com.b", 40.0}, {"com.c", 60.0}}));
+  engine_->on_slice(slice_with({{"com.b", 40.0}, {"com.c", 60.0}}));
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 100.0);
   EXPECT_DOUBLE_EQ(
       engine_->collateral_from(uid("com.a"), Entity::app(uid("com.c"))), 60.0);
@@ -130,7 +130,7 @@ TEST_F(EngineTest, BrokenChainLinkStopsDownstreamCharging) {
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
   ctx("com.b").start_activity(Intent::explicit_for("com.c", "Main"));
   server_.user_launch("com.b");  // ends A->B
-  fold(*engine_, slice_with({{"com.c", 50.0}}));
+  engine_->on_slice(slice_with({{"com.c", 50.0}}));
   // B->C is still open; A->B is not, so A no longer reaches C.
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 0.0);
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.b")), 50.0);
@@ -141,7 +141,7 @@ TEST_F(EngineTest, MultiCollateralDoesNotDoubleCharge) {
   server_.user_launch("com.a");
   ctx("com.a").bind_service(Intent::explicit_for("com.svc", "Work"));
   ctx("com.a").start_activity(Intent::explicit_for("com.svc", "Main"));
-  fold(*engine_, slice_with({{"com.svc", 100.0}}));
+  engine_->on_slice(slice_with({{"com.svc", 100.0}}));
   // Two windows, one driven app: charged once.
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 100.0);
 }
@@ -150,7 +150,7 @@ TEST_F(EngineTest, CycleBetweenAppsDoesNotLoopForever) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
   ctx("com.b").start_activity(Intent::explicit_for("com.a", "Main"));
-  fold(*engine_, slice_with({{"com.a", 10.0}, {"com.b", 20.0}}));
+  engine_->on_slice(slice_with({{"com.a", 10.0}, {"com.b", 20.0}}));
   // Each charges the other, neither charges itself.
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.a")), 20.0);
   EXPECT_DOUBLE_EQ(engine_->collateral_mj(uid("com.b")), 10.0);
@@ -160,7 +160,7 @@ TEST_F(EngineTest, WakelockForcedScreenChargedToHolder) {
   ctx("com.power").acquire_wakelock(WakelockType::kScreenBright, "t");
   sim_.run_for(sim::minutes(1));  // past the user-activity timeout
   ASSERT_TRUE(server_.power().screen_forced_by_wakelock());
-  fold(*engine_, slice_with({}, 200.0));
+  engine_->on_slice(slice_with({}, 200.0));
   EXPECT_DOUBLE_EQ(
       engine_->collateral_from(uid("com.power"), Entity::screen()), 200.0);
   // The claimed energy leaves the neutral row but stays on the books:
@@ -170,7 +170,7 @@ TEST_F(EngineTest, WakelockForcedScreenChargedToHolder) {
 }
 
 TEST_F(EngineTest, NormalScreenStaysOnNeutralRow) {
-  fold(*engine_, slice_with({}, 200.0));
+  engine_->on_slice(slice_with({}, 200.0));
   EXPECT_DOUBLE_EQ(engine_->screen_row_mj(), 200.0);
   EXPECT_DOUBLE_EQ(engine_->attributed_screen_mj(), 0.0);
 }
@@ -183,7 +183,7 @@ TEST_F(EngineTest, BrightnessDeltaChargedToAttacker) {
   const auto& p = server_.params();
   const double current_mw = p.screen_base_mw + 200 * p.screen_per_level_mw;
   const double delta_mw = 100 * p.screen_per_level_mw;
-  fold(*engine_, slice_with({}, 300.0));
+  engine_->on_slice(slice_with({}, 300.0));
   const double expected = 300.0 * delta_mw / current_mw;
   EXPECT_NEAR(engine_->collateral_from(uid("com.power"), Entity::screen()),
               expected, 1e-9);
@@ -200,7 +200,7 @@ TEST_F(EngineTest, ScreenCollateralFlowsUpChains) {
   // NOTE: the user brightness change above closes screen windows but not
   // the activity window A->power.
   ctx("com.power").set_brightness(255);
-  fold(*engine_, slice_with({{"com.power", 10.0}}, 100.0));
+  engine_->on_slice(slice_with({{"com.power", 10.0}}, 100.0));
   const double power_screen =
       engine_->collateral_from(uid("com.power"), Entity::screen());
   EXPECT_GT(power_screen, 0.0);
@@ -216,7 +216,8 @@ TEST_F(EngineTest, AccountingDisabledDropsEverything) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
   EXPECT_EQ(disabled.tracker().open_count(), 1u);
-  fold(disabled, slice_with({{"com.b", 100.0}}));
+  ASSERT_EQ(meter_one_window(disabled, server_), 1u);
+  EXPECT_GT(server_.battery().consumed_total_mj(), 0.0);
   EXPECT_DOUBLE_EQ(disabled.engine().true_total_mj(), 0.0);
   EXPECT_DOUBLE_EQ(disabled.engine().collateral_mj(uid("com.a")), 0.0);
 }
@@ -227,19 +228,19 @@ TEST_F(EngineTest, ChainAblationChargesOnlyDirectNeighbours) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
   ctx("com.b").start_activity(Intent::explicit_for("com.c", "Main"));
-  fold(flat, slice_with({{"com.b", 40.0}, {"com.c", 60.0}}));
+  flat.on_slice(slice_with({{"com.b", 40.0}, {"com.c", 60.0}}));
   EXPECT_DOUBLE_EQ(flat.collateral_mj(uid("com.a")), 40.0);  // B only
   EXPECT_DOUBLE_EQ(flat.collateral_mj(uid("com.b")), 60.0);
 }
 
 TEST_F(EngineTest, TrueTotalAccumulates) {
-  fold(*engine_, slice_with({{"com.a", 100.0}}, 50.0));
-  fold(*engine_, slice_with({{"com.a", 100.0}}, 50.0));
+  engine_->on_slice(slice_with({{"com.a", 100.0}}, 50.0));
+  engine_->on_slice(slice_with({{"com.a", 100.0}}, 50.0));
   EXPECT_DOUBLE_EQ(engine_->true_total_mj(), 2 * (100.0 + 50.0 + 5.0));
 }
 
 TEST_F(EngineTest, ResetClearsState) {
-  fold(*engine_, slice_with({{"com.a", 100.0}}, 50.0));
+  engine_->on_slice(slice_with({{"com.a", 100.0}}, 50.0));
   engine_->reset();
   EXPECT_DOUBLE_EQ(engine_->true_total_mj(), 0.0);
   EXPECT_DOUBLE_EQ(engine_->direct_mj(uid("com.a")), 0.0);
@@ -249,7 +250,7 @@ TEST_F(EngineTest, ResetClearsState) {
 TEST_F(EngineTest, KnownUidsCoversDirectAndCollateral) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  fold(*engine_, slice_with({{"com.b", 100.0}}));
+  engine_->on_slice(slice_with({{"com.b", 100.0}}));
   const auto uids = engine_->known_uids();
   bool has_a = false, has_b = false;
   for (kernelsim::Uid u : uids) {

@@ -2,27 +2,22 @@
 #pragma once
 
 #include "core/e_android.h"
-#include "core/engine.h"
-#include "energy/pipeline.h"
-#include "energy/slice.h"
+#include "energy/sampler.h"
+#include "framework/system_server.h"
 
 namespace eandroid::core::testing {
 
-/// Folds one sealed slice into `engine` through a MeteringPipeline the
-/// engine attached itself to.
-inline void fold(EAndroidEngine& engine, const energy::EnergySlice& slice) {
-  energy::MeteringPipeline pipeline;
-  engine.attach(pipeline);
-  pipeline.run(slice);
-}
-
-/// Folds one sealed slice the way a device does: through a pipeline the
-/// EAndroid facade attached. A framework-only EAndroid attaches nothing,
-/// so its engine sees no slice.
-inline void fold(EAndroid& ea, const energy::EnergySlice& slice) {
-  energy::MeteringPipeline pipeline;
-  ea.attach(pipeline);
-  pipeline.run(slice);
+/// Meters one 250 ms window of `server` the way a device does: through a
+/// sampler `ea` attached itself to. A framework-only EAndroid attaches
+/// nothing, so its engine sees no slice. Returns the slices the sampler
+/// emitted (1: the window was metered).
+inline std::uint64_t meter_one_window(EAndroid& ea,
+                                      framework::SystemServer& server) {
+  energy::EnergySampler sampler(server);
+  ea.attach(sampler);
+  server.simulator().run_for(sim::millis(250));
+  sampler.flush();
+  return sampler.slices_emitted();
 }
 
 }  // namespace eandroid::core::testing

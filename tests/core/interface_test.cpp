@@ -17,7 +17,7 @@ namespace {
 using framework::Intent;
 using framework::testing::RecordingApp;
 using framework::testing::simple_manifest;
-using testing::fold;
+using testing::meter_one_window;
 
 class InterfaceTest : public ::testing::Test {
  protected:
@@ -60,7 +60,7 @@ class InterfaceTest : public ::testing::Test {
 TEST_F(InterfaceTest, RanksByTotalIncludingCollateral) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  fold(ea_->engine(), slice(10.0, 100.0));
+  ea_->engine().on_slice(slice(10.0, 100.0));
   const EAView view = ea_->view();
   ASSERT_GE(view.rows.size(), 2u);
   // A's total (10 own + 100 collateral) beats B's 100.
@@ -73,7 +73,7 @@ TEST_F(InterfaceTest, RanksByTotalIncludingCollateral) {
 TEST_F(InterfaceTest, InventoryListsContributors) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  fold(ea_->engine(), slice(10.0, 100.0));
+  ea_->engine().on_slice(slice(10.0, 100.0));
   const EAView view = ea_->view();
   const EARow* row = view.row_of("com.a");
   ASSERT_NE(row, nullptr);
@@ -85,7 +85,7 @@ TEST_F(InterfaceTest, InventoryListsContributors) {
 TEST_F(InterfaceTest, PercentAgainstTrueBatteryDrain) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  fold(ea_->engine(), slice(10.0, 100.0, 80.0));
+  ea_->engine().on_slice(slice(10.0, 100.0, 80.0));
   const EAView view = ea_->view();
   const double total = 10.0 + 100.0 + 80.0 + 10.0;
   EXPECT_NEAR(view.true_total_mj, total, 1e-9);
@@ -93,7 +93,7 @@ TEST_F(InterfaceTest, PercentAgainstTrueBatteryDrain) {
 }
 
 TEST_F(InterfaceTest, NoCollateralMeansEmptyInventory) {
-  fold(ea_->engine(), slice(10.0, 20.0));
+  ea_->engine().on_slice(slice(10.0, 20.0));
   const EAView view = ea_->view();
   const EARow* row = view.row_of("com.b");
   ASSERT_NE(row, nullptr);
@@ -104,7 +104,7 @@ TEST_F(InterfaceTest, NoCollateralMeansEmptyInventory) {
 TEST_F(InterfaceTest, RenderContainsInventoryLines) {
   server_.user_launch("com.a");
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
-  fold(ea_->engine(), slice(10.0, 100.0));
+  ea_->engine().on_slice(slice(10.0, 100.0));
   const std::string text = ea_->view().render("sample");
   EXPECT_NE(text.find("com.a"), std::string::npos);
   EXPECT_NE(text.find("+ from com.b"), std::string::npos);
@@ -126,7 +126,7 @@ TEST_F(InterfaceTest, RevisedPowerTutorBreakdownSplitsComponents) {
   s.add_routine_at(s.ids().app_of(uid("com.a")),
                    s.ids().routine_of("main"), 10.0);
   s.seal();
-  fold(ea_->engine(), s);
+  ea_->engine().on_slice(s);
   const auto* direct = ea_->engine().direct_breakdown(uid("com.a"));
   ASSERT_NE(direct, nullptr);
   EXPECT_DOUBLE_EQ(direct->cpu_mj, 10.0);
@@ -156,8 +156,10 @@ TEST_F(InterfaceTest, FrameworkOnlyModeTracksWithoutAccounting) {
   ctx("com.a").start_activity(Intent::explicit_for("com.b", "Main"));
   // Windows are tracked...
   EXPECT_EQ(framework_only.tracker().open_count(), 1u);
-  // ...but slices are dropped.
-  fold(framework_only, slice(10.0, 100.0));
+  // ...but the facade adds no sink, so the metered window never reaches
+  // the engine.
+  ASSERT_EQ(meter_one_window(framework_only, server_), 1u);
+  EXPECT_GT(server_.battery().consumed_total_mj(), 0.0);
   EXPECT_DOUBLE_EQ(framework_only.engine().true_total_mj(), 0.0);
 }
 

@@ -1,5 +1,5 @@
 // The fuzzer's acceptance demonstration: arm a deliberate metering bug
-// (the fused sparse fold drops the CPU part column — exactly the kind of
+// (the engine's direct fold drops the CPU part column — exactly the kind of
 // one-column slip a metering refactor could make), and prove the oracle's
 // invariant leg catches it within a bounded seed budget, auto-shrinks the
 // failing program to a minimal replayable reproducer, and goes quiet the
@@ -8,7 +8,7 @@
 
 #include <string>
 
-#include "energy/pipeline.h"
+#include "core/engine.h"
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
 #include "fuzz/shrink.h"
@@ -20,9 +20,9 @@ namespace {
 class ScopedSkipPart {
  public:
   explicit ScopedSkipPart(int part) {
-    energy::MeteringPipeline::set_test_skip_part(part);
+    core::EAndroidEngine::set_test_skip_part(part);
   }
-  ~ScopedSkipPart() { energy::MeteringPipeline::set_test_skip_part(-1); }
+  ~ScopedSkipPart() { core::EAndroidEngine::set_test_skip_part(-1); }
 };
 
 TEST(InjectedBugTest, FusedFoldBugIsCaughtShrunkAndReplayable) {
@@ -40,7 +40,7 @@ TEST(InjectedBugTest, FusedFoldBugIsCaughtShrunkAndReplayable) {
   ScenarioProgram failing;
   OracleVerdict first_verdict;
   {
-    const ScopedSkipPart armed(0);  // drop the CPU column in the fused fold
+    const ScopedSkipPart armed(0);  // drop the CPU column in the direct fold
 
     // Bounded seed budget: the bug must surface within 8 seeds (any
     // program that charges app CPU trips it; some seeds touch only

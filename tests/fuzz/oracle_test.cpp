@@ -69,6 +69,31 @@ TEST(OracleTest, ExecutorAppliesEveryStepAndStaysInvariantClean) {
       << executor.violations().front();
 }
 
+TEST(OracleTest, ExecutorRunFlushesTheTrailingPartialWindow) {
+  // A horizon off the 250 ms sample grid: run() must close the trailing
+  // 100 ms window, so four full windows plus the partial one are
+  // metered and the profilers account for the battery's whole drain.
+  ScenarioProgram program;
+  program.seed = 1;
+  Step launch;
+  launch.at_us = 100'001;
+  launch.op = OpKind::kUserLaunch;
+  program.steps = {launch};
+  program.horizon_us = 1'100'000;
+  ASSERT_TRUE(validate(program));
+  fleet::DeviceSpec spec;
+  spec.seed = program.seed;
+  fleet::DeviceContext bed(spec);
+  install_cast(bed);
+  bed.start();
+  ProgramExecutor executor(bed, program);
+  executor.run();
+  EXPECT_EQ(bed.sim().now().micros(), 1'100'000);
+  EXPECT_EQ(bed.sampler().slices_emitted(), 5u);
+  EXPECT_NEAR(bed.battery_stats().total_mj(),
+              bed.server().battery().consumed_total_mj(), 1e-6);
+}
+
 TEST(OracleTest, RejectsUngrammaticalInput) {
   ScenarioProgram bogus;
   bogus.horizon_us = 1'000'000;

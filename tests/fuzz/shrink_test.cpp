@@ -114,6 +114,47 @@ TEST(ShrinkTest, StepIndependentFailureShrinksWithoutOverrunningTheSteps) {
   }
 }
 
+TEST(ShrinkTest, HorizonShrinksToTheFailingStepsInstant) {
+  // A failure carried by one early step: the reproducer needs nothing
+  // after that step's instant, so its horizon must come down from the
+  // generator's long settle tail to that instant.
+  GeneratorOptions options;
+  options.seed = 3;
+  const ScenarioProgram program = generate(options);
+  ASSERT_GE(program.steps.size(), 2u);
+  const Step early = program.steps.front();
+  ASSERT_LT(early.at_us, program.horizon_us);
+  const auto carries_early = [&early](const ScenarioProgram& p) {
+    return std::any_of(p.steps.begin(), p.steps.end(), [&](const Step& s) {
+      return s.op == early.op && s.app == early.app &&
+             s.at_us == early.at_us;
+    });
+  };
+  const ScenarioProgram reduced = shrink(program, carries_early);
+  EXPECT_TRUE(validate(reduced));
+  ASSERT_EQ(reduced.steps.size(), 1u);
+  EXPECT_LE(reduced.horizon_us, early.at_us);
+}
+
+TEST(ShrinkTest, HorizonDescendsToTheFailureThreshold) {
+  // A failure that needs the run to last until `needed`: the last step's
+  // instant passes, so binary descent must stop within 1 ms above it.
+  GeneratorOptions options;
+  options.seed = 4;
+  const ScenarioProgram program = generate(options);
+  const std::int64_t needed =
+      program.steps.back().at_us +
+      (program.horizon_us - program.steps.back().at_us) / 3;
+  ShrinkStats stats;
+  const ScenarioProgram reduced = shrink(
+      program,
+      [needed](const ScenarioProgram& p) { return p.horizon_us >= needed; },
+      &stats);
+  EXPECT_TRUE(validate(reduced));
+  EXPECT_GE(reduced.horizon_us, needed);
+  EXPECT_LT(reduced.horizon_us, needed + 1'000);
+}
+
 TEST(ShrinkTest, PassingProgramIsACheckedError) {
   GeneratorOptions options;
   options.seed = 5;

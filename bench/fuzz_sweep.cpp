@@ -4,12 +4,15 @@
 //
 //   ./fuzz_sweep --suite ../bench/suites/fuzz_smoke.cfg
 //   ./fuzz_sweep --suite ../bench/suites/fuzz_acceptance.cfg --seeds 1000
+//   ./fuzz_sweep --suite ../bench/suites/chaos.cfg --out BENCH_chaos.json
 //
 // Flags: --suite <cfg> (key=value file, see src/fuzz/suite.h), --seeds N
 // (override the suite's seed count), --out <json> (default
 // BENCH_fuzz.json), --artifacts <dir> (where shrunk reproducers land;
-// overrides the suite). EANDROID_FUZZ_SEEDS overrides --seeds. Exit 0
-// iff every seed passed every oracle leg.
+// overrides the suite). Besides throughput and the per-leg breakdown, the
+// JSON carries the fault-op step counts per op and the reference runs'
+// merged device metrics (service restarts, ANR kills, binder failures,
+// ...). Exit 0 iff every seed passed every oracle leg.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,19 +77,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (const char* env = std::getenv("EANDROID_FUZZ_SEEDS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) seeds_override = parsed;
-  }
   if (seeds_override > 0) config.seeds = static_cast<int>(seeds_override);
   if (!artifacts.empty()) config.artifacts_dir = artifacts;
 
-  std::printf("=== fuzz sweep: %d seeds from %llu (steps %d..%d, "
-              "single=%d fleet=%d trace=%d, budget %.0fs) ===\n\n",
+  std::printf("=== fuzz sweep: %d seeds from %llu (steps %d..%d, tail "
+              "%.1fs, single=%d fleet=%d trace=%d, budget %.0fs) ===\n\n",
               config.seeds, static_cast<unsigned long long>(config.first_seed),
-              config.min_steps, config.max_steps, config.single_legs ? 1 : 0,
-              config.fleet_legs ? 1 : 0, config.trace ? 1 : 0,
-              config.time_budget_s);
+              config.min_steps, config.max_steps, config.tail_us / 1e6,
+              config.single_legs ? 1 : 0, config.fleet_legs ? 1 : 0,
+              config.trace ? 1 : 0, config.time_budget_s);
 
   const fuzz::SweepResult result = fuzz::run_sweep(config);
 
@@ -96,6 +95,14 @@ int main(int argc, char** argv) {
               result.budget_exhausted ? "  (time budget hit)" : "");
   std::printf("steps dispatched  %10llu\n",
               static_cast<unsigned long long>(result.steps_total));
+  std::uint64_t faults = 0;
+  for (int op = 0; op < fuzz::kOpKindCount; ++op) {
+    if (fuzz::op_is_fault(static_cast<fuzz::OpKind>(op))) {
+      faults += result.op_steps[static_cast<std::size_t>(op)];
+    }
+  }
+  std::printf("fault-op steps    %10llu\n",
+              static_cast<unsigned long long>(faults));
   std::printf("violations        %10zu\n", result.failures.size());
   std::printf("wall              %9.1fs  (%.2f scenarios/s)\n\n",
               result.elapsed_s, rate);
@@ -141,6 +148,35 @@ int main(int argc, char** argv) {
       std::fprintf(json, "%s\n    \"%s\": %.3f", i == 0 ? "" : ",",
                    result.leg_seconds[i].leg.c_str(),
                    result.leg_seconds[i].seconds);
+    }
+    std::fprintf(json, "\n  },\n  \"faults_injected\": %llu,\n"
+                       "  \"fault_steps\": {",
+                 static_cast<unsigned long long>(faults));
+    const char* sep = "";
+    for (int op = 0; op < fuzz::kOpKindCount; ++op) {
+      const auto kind = static_cast<fuzz::OpKind>(op);
+      if (!fuzz::op_is_fault(kind)) continue;
+      std::fprintf(json, "%s\n    \"%s\": %llu", sep, fuzz::to_string(kind),
+                   static_cast<unsigned long long>(
+                       result.op_steps[static_cast<std::size_t>(op)]));
+      sep = ",";
+    }
+    std::fprintf(json, "\n  },\n  \"metrics\": {");
+    sep = "";
+    for (const obs::MetricRow& row : result.metrics.rows) {
+      std::fprintf(json, "%s\n    \"%s\": ", sep, row.name.c_str());
+      sep = ",";
+      if (row.is_counter) {
+        std::fprintf(json, "%llu", static_cast<unsigned long long>(row.count));
+      } else if (row.count == 0) {
+        std::fprintf(json, "{\"n\": 0}");
+      } else {
+        std::fprintf(json,
+                     "{\"n\": %llu, \"sum\": %.6g, \"min\": %.6g, "
+                     "\"max\": %.6g}",
+                     static_cast<unsigned long long>(row.count), row.sum,
+                     row.min, row.max);
+      }
     }
     std::fprintf(json, "\n  }\n}\n");
     std::fclose(json);

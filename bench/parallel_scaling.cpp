@@ -1,7 +1,9 @@
 // Serial vs parallel throughput of the experiment runner on a 768-seed
-// soak workload (soak.h), plus the determinism contract: every per-seed result
+// soak workload (soak.h), plus two contracts: every per-seed result
 // (drain, windows, steps, conservation inputs) must be BITWISE identical
-// to the serial path — fan-out may only change wall time, never physics.
+// to the serial path — fan-out may only change wall time, never physics —
+// and every seed must conserve energy (engine total within 1 uJ of the
+// battery's drain). Exit 1 if either fails.
 //
 // The seed count keeps the serial leg well above half a second on a
 // 4-core machine, so thread start-up and scheduling noise cannot pass
@@ -172,6 +174,9 @@ int main() {
   }
   const double sim_seconds = total_sim_seconds(serial);
   const WallStats serial_stats = stats_of(serial_walls);
+  const auto unconserved = static_cast<int>(std::count_if(
+      serial.begin(), serial.end(),
+      [](const SoakResult& r) { return !r.conserved(); }));
 
   std::printf("%8s %10s %10s %10s %16s %9s %10s\n", "threads", "median (s)",
               "min (s)", "max (s)", "sim-s / wall-s", "speedup", "identical");
@@ -229,15 +234,22 @@ int main() {
     }
     std::fprintf(json,
                  "\n  ],\n"
-                 "  \"all_identical\": %s\n"
+                 "  \"all_identical\": %s,\n"
+                 "  \"conservation_violations\": %d\n"
                  "}\n",
-                 all_identical ? "true" : "false");
+                 all_identical ? "true" : "false", unconserved);
     std::fclose(json);
     std::printf("\nwrote BENCH_parallel.json\n");
   }
 
+  std::printf("\n%d conservation violations across %llu seeds\n",
+              unconserved, static_cast<unsigned long long>(kSeeds));
   if (!all_identical) {
     std::printf("FAIL: parallel results diverged from the serial path\n");
+    return 1;
+  }
+  if (unconserved != 0) {
+    std::printf("FAIL: energy not conserved on %d seeds\n", unconserved);
     return 1;
   }
   // Speedup is hardware-dependent (a 1-core container cannot show any);

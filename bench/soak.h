@@ -1,7 +1,7 @@
-// One seed of the randomized soak shared by soak_random and
-// parallel_scaling: a 600-step generated scenario program on a Testbed
-// with the fuzz cast, memory pressure (a 400 MB LMK budget) on even seeds,
-// and a 1 s tail. Everything it returns is a pure function of the seed.
+// One seed of parallel_scaling's randomized soak: a 600-step generated
+// scenario program on a Testbed with the fuzz cast, memory pressure (a
+// 400 MB LMK budget) on even seeds, and a 1 s tail. Everything it returns
+// is a pure function of the seed.
 #pragma once
 
 #include <cmath>

@@ -1,8 +1,8 @@
 // InvariantChecker: global consistency checks, callable after any event.
 //
-// The chaos soak (bench/chaos_soak.cpp) runs hundreds of randomized
-// fault schedules and asks, after every run, whether the device is still
-// internally consistent. The checks encode the properties the rest of
+// The fuzz oracle's invariant leg (fuzz/oracle.h) runs it after every
+// step of every generated program, the fault-heavy chaos suite's
+// included, and asks whether the device is still internally consistent. The checks encode the properties the rest of
 // the reproduction silently relies on:
 //
 //   * energy conservation — every profiler's total (BatteryStats,

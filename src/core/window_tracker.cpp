@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "framework/push_service.h"
-#include "sim/log.h"
 
 namespace eandroid::core {
 
@@ -54,9 +53,6 @@ Window& WindowTracker::open_window(WindowKind kind, kernelsim::Uid driver,
     trace_.push_back(WindowTrace{true, kind, driver, driven,
                                  server_.simulator().now(), reason});
   }
-  EA_LOG(kDebug, server_.simulator().now(), "e-android")
-      << "open " << to_string(kind) << " window " << driver.value << " -> "
-      << driven.value << " (" << reason << ")";
   return it->second;
 }
 
@@ -72,10 +68,6 @@ void WindowTracker::close_window(std::uint64_t id, const char* reason) {
                                  window.driven, server_.simulator().now(),
                                  reason});
   }
-  EA_LOG(kDebug, server_.simulator().now(), "e-android")
-      << "close " << to_string(window.kind) << " window "
-      << window.driver.value << " -> " << window.driven.value << " ("
-      << reason << ")";
 }
 
 bool WindowTracker::has_window(WindowKind kind, kernelsim::Uid driver,

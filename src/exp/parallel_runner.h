@@ -11,8 +11,6 @@
 //     interleaving.
 // Under that contract run() is observationally identical to run_serial():
 // same jobs, same per-slot results, bit for bit — only wall time changes.
-// The sim::Logger is thread-local, so a job that turns logging on affects
-// only the worker it happens to run on.
 #pragma once
 
 #include <cstddef>

@@ -6,7 +6,6 @@
 
 #include "framework/power_manager.h"
 #include "framework/window_manager.h"
-#include "sim/log.h"
 
 namespace eandroid::framework {
 
@@ -176,9 +175,6 @@ bool ActivityManager::start_activity(kernelsim::Uid caller,
   }
 
   publish_start(caller, pkg->uid, decl->name, /*by_user=*/false);
-  EA_LOG(kDebug, sim_.now(), "am")
-      << "uid " << caller.value << " startActivity " << ref->package << "/"
-      << decl->name;
   sync_stacks(caller, /*by_user=*/false);
   return true;
 }
@@ -205,7 +201,6 @@ bool ActivityManager::user_launch(const std::string& package) {
   }
   publish_start(launcher_uid_, pkg->uid,
                 pkg->manifest->root_activity()->name, /*by_user=*/true);
-  EA_LOG(kDebug, sim_.now(), "am") << "user launches " << package;
   sync_stacks(launcher_uid_, /*by_user=*/true);
   return true;
 }
@@ -218,7 +213,6 @@ void ActivityManager::user_press_home() {
       tasks_.begin(), tasks_.end(),
       [launcher_task](const Task& t) { return t.id == launcher_task->id; });
   std::rotate(it, it + 1, tasks_.end());
-  EA_LOG(kDebug, sim_.now(), "am") << "user presses home";
   sync_stacks(launcher_uid_, /*by_user=*/true);
 }
 
@@ -229,8 +223,6 @@ bool ActivityManager::start_home(kernelsim::Uid caller) {
       tasks_.begin(), tasks_.end(),
       [launcher_task](const Task& t) { return t.id == launcher_task->id; });
   std::rotate(it, it + 1, tasks_.end());
-  EA_LOG(kDebug, sim_.now(), "am")
-      << "uid " << caller.value << " sends HOME intent";
   sync_stacks(caller, /*by_user=*/false);
   return true;
 }
@@ -538,9 +530,6 @@ void ActivityManager::sync_stacks(kernelsim::Uid driving, bool by_user) {
       interrupt.by_user = by_user;
       events_.publish(interrupt);
     }
-    EA_LOG(kDebug, sim_.now(), "am")
-        << "foreground " << prev_fg.value << " -> " << new_fg.value
-        << (by_user ? " (user)" : "");
   }
 }
 

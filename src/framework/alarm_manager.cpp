@@ -4,8 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/log.h"
-
 namespace eandroid::framework {
 
 AlarmId AlarmManager::set(kernelsim::Uid uid, sim::Duration delay,
@@ -59,8 +57,6 @@ int AlarmManager::delay_pending(sim::Duration by) {
     ++moved;
     ++delayed_;
   }
-  EA_LOG(kDebug, sim_.now(), "alarm")
-      << "deferred " << moved << " alarms by " << by.micros() << "us";
   return moved;
 }
 
@@ -87,8 +83,6 @@ void AlarmManager::fire(std::uint64_t id) {
   event.driven = owner;
   event.component = tag;
   events_.publish(event);
-  EA_LOG(kTrace, sim_.now(), "alarm")
-      << tag << " fired for uid " << owner.value;
 
   // RTC_WAKEUP: the handler runs even out of suspend; it is the app's
   // job to grab a wakelock if it needs the CPU to stay up. The handler

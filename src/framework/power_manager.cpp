@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/log.h"
-
 namespace eandroid::framework {
 
 PowerManagerService::PowerManagerService(
@@ -90,9 +88,6 @@ void PowerManagerService::release_internal(WakelockId id, bool by_death) {
   event.handle = id.id;
   event.screen_wakelock = keeps_screen_on(info.type);
   events_.publish(event);
-  EA_LOG(kDebug, sim_.now(), "power")
-      << "wakelock " << id.id << " released"
-      << (by_death ? " (link-to-death)" : "");
 
   reevaluate();
 }
@@ -167,16 +162,12 @@ void PowerManagerService::reevaluate() {
     event.when = sim_.now();
     event.driving = kernelsim::kSystemUid;
     events_.publish(event);
-    EA_LOG(kDebug, sim_.now(), "power")
-        << "screen " << (want_screen ? "on" : "off");
   }
 
   // Deep sleep: screen off and nobody holding the CPU awake.
   const bool want_suspend = !want_screen && !any_lock;
   if (want_suspend != cpu_.suspended()) {
     cpu_.set_suspended(want_suspend);
-    EA_LOG(kDebug, sim_.now(), "power")
-        << (want_suspend ? "suspend" : "resume");
   }
 }
 

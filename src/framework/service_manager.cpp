@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/check.h"
-#include "sim/log.h"
 
 namespace eandroid::framework {
 
@@ -83,8 +82,6 @@ void ServiceManager::bring_up(ServiceRecord& record) {
     code->on_service_create(host_.context_of(record.uid),
                             record.ref.component);
   }
-  EA_LOG(kDebug, sim_.now(), "services")
-      << key_of(record.ref) << " created";
 }
 
 void ServiceManager::maybe_tear_down(ServiceRecord& record) {
@@ -96,8 +93,6 @@ void ServiceManager::maybe_tear_down(ServiceRecord& record) {
     code->on_service_destroy(host_.context_of(record.uid),
                              record.ref.component);
   }
-  EA_LOG(kDebug, sim_.now(), "services")
-      << key_of(record.ref) << " destroyed";
 }
 
 void ServiceManager::cancel_pending(ServiceRecord& record) {
@@ -175,9 +170,6 @@ void ServiceManager::schedule_restart(ServiceRecord& record) {
                      obs::TraceCategory::kRecovery, "svc.backoff",
                      record.uid.value, delay.micros());
   if (auto* m = sim_.metrics()) m->add(m->counter("fw.service_backoffs"));
-  EA_LOG(kDebug, now, "services")
-      << key << " crashed (started); restart in " << delay.micros()
-      << "us (crash #" << record.crashes << ")";
 }
 
 void ServiceManager::restart_now(const std::string& key) {
@@ -201,7 +193,6 @@ void ServiceManager::restart_now(const std::string& key) {
   publish(FwEventType::kServiceStart, record.last_starter, record.uid,
           record.ref.component);
   schedule_start_command(record);
-  EA_LOG(kDebug, sim_.now(), "services") << key << " restarted";
 }
 
 bool ServiceManager::start_service(kernelsim::Uid caller,
@@ -227,8 +218,6 @@ bool ServiceManager::start_service(kernelsim::Uid caller,
   const kernelsim::Pid from = host_.pid_of(caller);
   const kernelsim::Pid to = host_.ensure_process(record.uid);
   if (!binder_.try_transact(from, to, intent.extras_bytes)) {
-    EA_LOG(kDebug, sim_.now(), "services")
-        << "startService " << key_of(*ref) << " lost: binder failure";
     return false;
   }
 
@@ -296,8 +285,6 @@ std::optional<BindingId> ServiceManager::bind_service(kernelsim::Uid caller,
   const kernelsim::Pid from = host_.pid_of(caller);
   const kernelsim::Pid to = host_.ensure_process(record.uid);
   if (!binder_.try_transact(from, to, intent.extras_bytes)) {
-    EA_LOG(kDebug, sim_.now(), "services")
-        << "bindService " << key_of(*ref) << " lost: binder failure";
     return std::nullopt;
   }
   // A successful bind revives the host immediately, so a pending

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "sim/check.h"
-#include "sim/log.h"
 
 namespace eandroid::framework {
 
@@ -174,7 +173,6 @@ void SystemServer::boot() {
   activities_.boot(kLauncherPackage);
   broadcasts_.send_broadcast(kernelsim::kSystemUid, kActionBootCompleted,
                              /*by_system=*/true);
-  EA_LOG(kInfo, sim_.now(), "system") << "boot complete";
 }
 
 void SystemServer::plug_charger(double rate_mw) {
@@ -267,9 +265,6 @@ void SystemServer::post_to_main(kernelsim::Uid uid,
     if (!pid_of(uid).valid()) return;
     ++anr_kills_;
     obs_.metrics().add(anr_metric_);
-    EA_LOG(kInfo, sim_.now(), "system")
-        << "ANR: uid " << uid.value << " (queue depth "
-        << it->second.pending.size() << "), killing";
     FwEvent event;
     event.type = FwEventType::kAnr;
     event.when = sim_.now();
@@ -329,8 +324,6 @@ kernelsim::Pid SystemServer::ensure_process(kernelsim::Uid uid) {
   if (pkg->code != nullptr) {
     pkg->code->on_process_start(*contexts_[uid]);
   }
-  EA_LOG(kDebug, sim_.now(), "system")
-      << "spawned " << pkg->manifest->package << " pid " << pid.value;
   // Memory pressure: reclaim cached processes (never the one we just
   // brought up).
   lmk_.maybe_reclaim(uid);

@@ -20,7 +20,9 @@ struct Observed {
 };
 
 /// One single-device replay; digests/traces have exactly one element.
-Observed run_single(const ScenarioProgram& program, bool trace) {
+/// `metrics`, when non-null, receives the device's metrics snapshot.
+Observed run_single(const ScenarioProgram& program, bool trace,
+                    obs::MetricsSnapshot* metrics = nullptr) {
   fleet::DeviceSpec spec;
   spec.seed = program.seed;
   spec.obs.trace = trace;
@@ -32,6 +34,7 @@ Observed run_single(const ScenarioProgram& program, bool trace) {
   Observed out;
   out.digests.push_back(bed.energy_digest());
   if (trace) out.traces.push_back(bed.trace_text());
+  if (metrics != nullptr) *metrics = bed.metrics_snapshot();
   return out;
 }
 
@@ -202,8 +205,9 @@ OracleVerdict run_oracle(const ScenarioProgram& program,
 
   if (options.single_legs) {
     const Observed reference =
-        timed("single.reference", &verdict,
-              [&] { return run_single(program, trace); });
+        timed("single.reference", &verdict, [&] {
+          return run_single(program, trace, &verdict.metrics);
+        });
     compare("single.determinism", reference,
             timed("single.determinism", &verdict,
                   [&] { return run_single(program, trace); }),

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "fuzz/program.h"
+#include "obs/metrics.h"
 
 namespace eandroid::fuzz {
 
@@ -71,6 +72,9 @@ struct OracleVerdict {
   std::vector<LegTiming> timings;
   /// Steps the reference run dispatched (sanity: == program.steps.size()).
   std::uint64_t steps_applied = 0;
+  /// The single-device reference run's metrics (fault recoveries, binder
+  /// failures, ...); empty when the single legs are off.
+  obs::MetricsSnapshot metrics;
 
   [[nodiscard]] bool ok() const {
     return failures.empty() && invariant_violations.empty();

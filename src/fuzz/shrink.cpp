@@ -97,6 +97,49 @@ class Shrinker {
     return program;
   }
 
+  /// Moves steps earlier. For each step in order, the gap before it (from
+  /// the previous step, or from time zero) shrinks by shifting that step,
+  /// every later step and the horizon back together, so the gaps after it
+  /// and the settle tail are kept: the earliest legal instant first (1 us
+  /// after its predecessor), then binary descent between the latest
+  /// instant seen passing and the earliest seen failing, down to a 1 ms
+  /// gap. Order stays strictly increasing by construction.
+  ScenarioProgram minimize_times(ScenarioProgram program) {
+    constexpr std::int64_t kGrainUs = 1'000;
+    const auto shifted = [](ScenarioProgram p, std::size_t from,
+                            std::int64_t at_us) {
+      const std::int64_t by = p.steps[from].at_us - at_us;
+      for (std::size_t j = from; j < p.steps.size(); ++j) {
+        p.steps[j].at_us -= by;
+      }
+      p.horizon_us -= by;
+      return p;
+    };
+    for (std::size_t i = 0; i < program.steps.size(); ++i) {
+      const std::int64_t floor_us =
+          i == 0 ? 1 : program.steps[i - 1].at_us + 1;
+      if (program.steps[i].at_us <= floor_us) continue;
+      ScenarioProgram candidate = shifted(program, i, floor_us);
+      if (attempt(&candidate)) {
+        program = std::move(candidate);
+        continue;
+      }
+      std::int64_t passing = floor_us;
+      while (i < program.steps.size() &&
+             program.steps[i].at_us - passing > kGrainUs) {
+        const std::int64_t at_us =
+            passing + (program.steps[i].at_us - passing) / 2;
+        candidate = shifted(program, i, at_us);
+        if (attempt(&candidate)) {
+          program = std::move(candidate);
+        } else {
+          passing = at_us;
+        }
+      }
+    }
+    return program;
+  }
+
   /// Lowers horizon_us toward the earliest value validate() accepts (the
   /// last step's instant): that instant first, then binary descent
   /// between the highest horizon seen passing and the lowest seen
@@ -145,6 +188,7 @@ ScenarioProgram shrink(
   Shrinker shrinker(still_fails, tracked, options);
   ScenarioProgram reduced = shrinker.ddmin(program);
   reduced = shrinker.minimize_params(std::move(reduced));
+  reduced = shrinker.minimize_times(std::move(reduced));
   reduced = shrinker.minimize_horizon(std::move(reduced));
 
   tracked->final_steps = static_cast<int>(reduced.steps.size());

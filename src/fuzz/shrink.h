@@ -1,6 +1,6 @@
 // Auto-shrinker: reduce a failing ScenarioProgram to a minimal one.
 //
-// Three passes, all gated on a caller-supplied "still fails" predicate
+// Four passes, all gated on a caller-supplied "still fails" predicate
 // (typically: run_oracle(candidate) is not ok) and all grammar-safe —
 // every candidate is normalized through repair() and checked with
 // validate() before the predicate ever sees it, so removing a
@@ -13,7 +13,11 @@
 //   2. per-step parameter minimization — walk each surviving step's a/b
 //      parameters toward zero (try 0, 1, then binary descent), keeping
 //      any value under which the failure reproduces;
-//   3. horizon minimization — lower horizon_us toward the last step's
+//   3. time minimization — move each step earlier (with every later step
+//      and the horizon, so later gaps and the settle tail are kept): try
+//      1 us after its predecessor, then binary descent to 1 ms, so a
+//      reproducer does not idle through the generator's long gaps;
+//   4. horizon minimization — lower horizon_us toward the last step's
 //      instant (try that instant, then binary descent to 1 ms), so a
 //      reproducer simulates no longer than its failure needs.
 //

@@ -68,6 +68,8 @@ bool SweepConfig::parse(const std::string& text, SweepConfig* out,
         config.min_steps = std::stoi(value);
       } else if (key == "max_steps") {
         config.max_steps = std::stoi(value);
+      } else if (key == "tail_us") {
+        config.tail_us = std::stoll(value);
       } else if (key == "single_legs") {
         if (!parse_bool(value, &config.single_legs)) {
           return fail(line_no, "expected 0/1 for " + key);
@@ -103,6 +105,15 @@ bool SweepConfig::parse(const std::string& text, SweepConfig* out,
   return true;
 }
 
+ScenarioProgram SweepConfig::program_for(std::uint64_t seed) const {
+  GeneratorOptions gen;
+  gen.seed = seed;
+  gen.min_steps = min_steps;
+  gen.max_steps = max_steps;
+  gen.tail_us = tail_us;
+  return generate(gen);
+}
+
 SweepResult run_sweep(const SweepConfig& config) {
   EANDROID_CHECK(config.seeds >= 0, "sweep seed count negative");
   OracleOptions oracle_options;
@@ -110,16 +121,9 @@ SweepResult run_sweep(const SweepConfig& config) {
   oracle_options.fleet_legs = config.fleet_legs;
   oracle_options.trace = config.trace;
 
-  const auto program_for = [&config](std::uint64_t seed) {
-    GeneratorOptions gen;
-    gen.seed = seed;
-    gen.min_steps = config.min_steps;
-    gen.max_steps = config.max_steps;
-    return generate(gen);
-  };
-
   struct SeedOutcome {
     std::uint64_t seed = 0;
+    ScenarioProgram program;
     OracleVerdict verdict;
   };
 
@@ -153,8 +157,8 @@ SweepResult run_sweep(const SweepConfig& config) {
           outcome.seed = config.first_seed +
                          static_cast<std::uint64_t>(done) +
                          static_cast<std::uint64_t>(i);
-          outcome.verdict =
-              run_oracle(program_for(outcome.seed), oracle_options);
+          outcome.program = config.program_for(outcome.seed);
+          outcome.verdict = run_oracle(outcome.program, oracle_options);
           return outcome;
         },
         runner);
@@ -162,6 +166,10 @@ SweepResult run_sweep(const SweepConfig& config) {
     for (SeedOutcome& outcome : outcomes) {
       ++result.scenarios_run;
       result.steps_total += outcome.verdict.steps_applied;
+      for (const Step& step : outcome.program.steps) {
+        ++result.op_steps[static_cast<std::size_t>(step.op)];
+      }
+      result.metrics.merge(outcome.verdict.metrics);
       for (const LegTiming& t : outcome.verdict.timings) {
         leg_totals[t.leg] += t.seconds;
       }
@@ -169,7 +177,7 @@ SweepResult run_sweep(const SweepConfig& config) {
 
       SweepFailure failure;
       failure.seed = outcome.seed;
-      failure.original = program_for(outcome.seed);
+      failure.original = std::move(outcome.program);
       failure.what = outcome.verdict.failures;
       failure.what.insert(failure.what.end(),
                           outcome.verdict.invariant_violations.begin(),

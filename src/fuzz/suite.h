@@ -12,6 +12,7 @@
 // configuration, the binary stays generic.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -19,15 +20,17 @@
 #include "fuzz/oracle.h"
 #include "fuzz/program.h"
 #include "fuzz/shrink.h"
+#include "obs/metrics.h"
 
 namespace eandroid::fuzz {
 
 struct SweepConfig {
   std::uint64_t first_seed = 1;
   int seeds = 100;
-  /// Generator step-count bounds (see GeneratorOptions).
+  /// Generator step-count bounds and settle tail (see GeneratorOptions).
   int min_steps = 12;
   int max_steps = 48;
+  std::int64_t tail_us = 5'000'000;
   /// Oracle leg toggles.
   bool single_legs = true;
   bool fleet_legs = true;
@@ -49,6 +52,9 @@ struct SweepConfig {
   /// a default. On failure returns false with "line N: why" in `error`.
   static bool parse(const std::string& text, SweepConfig* out,
                     std::string* error = nullptr);
+
+  /// The program the sweep runs for `seed`.
+  [[nodiscard]] ScenarioProgram program_for(std::uint64_t seed) const;
 };
 
 struct SweepFailure {
@@ -67,6 +73,10 @@ struct SweepFailure {
 struct SweepResult {
   int scenarios_run = 0;
   std::uint64_t steps_total = 0;
+  /// Steps of each op kind across every program that ran (index: OpKind).
+  std::array<std::uint64_t, kOpKindCount> op_steps{};
+  /// The oracle reference runs' device metrics, merged in seed order.
+  obs::MetricsSnapshot metrics;
   std::vector<SweepFailure> failures;
   /// Per-leg wall-clock totals summed across every scenario.
   std::vector<LegTiming> leg_seconds;

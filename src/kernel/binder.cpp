@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/log.h"
 
 namespace eandroid::kernelsim {
 
@@ -74,8 +73,6 @@ sim::Duration BinderDriver::transact(Pid from, Pid to, std::uint64_t bytes) {
   }
 #endif
   if (auto* m = sim_.metrics()) m->add(txn_metric_);
-  EA_LOG(kTrace, sim_.now(), "binder")
-      << "txn " << from.value << " -> " << to.value << " (" << bytes << "B)";
   return cost;
 }
 
@@ -89,9 +86,6 @@ bool BinderDriver::try_transact(Pid from, Pid to, std::uint64_t bytes,
                        /*uid=*/-1, static_cast<std::int64_t>(bytes));
     if (auto* m = sim_.metrics()) m->add(fail_metric_);
     if (cost != nullptr) *cost = sim::Duration(0);
-    EA_LOG(kDebug, sim_.now(), "binder")
-        << "txn " << from.value << " -> " << to.value
-        << " FAILED (injected)";
     return false;
   }
   const sim::Duration d = transact(from, to, bytes);

@@ -1,8 +1,9 @@
 // Shrinker contracts, against cheap synthetic predicates (no oracle
 // replays here — injected_bug_test.cpp covers the end-to-end path):
 // ddmin converges to the failure-carrying core, every candidate shown to
-// the predicate is grammatical, parameters descend to their minimum, and
-// polarity misuse is a checked error.
+// the predicate is grammatical, parameters descend to their minimum,
+// steps move as early and horizons come down as far as the failure
+// allows, and polarity misuse is a checked error.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -153,6 +154,62 @@ TEST(ShrinkTest, HorizonDescendsToTheFailureThreshold) {
   EXPECT_TRUE(validate(reduced));
   EXPECT_GE(reduced.horizon_us, needed);
   EXPECT_LT(reduced.horizon_us, needed + 1'000);
+}
+
+/// A seed whose program's first step of `op` comes after `after_us`.
+ScenarioProgram program_with_late(OpKind op, std::int64_t after_us) {
+  for (std::uint64_t seed = 1; seed < 500; ++seed) {
+    GeneratorOptions options;
+    options.seed = seed;
+    ScenarioProgram program = generate(options);
+    const auto first = std::find_if(
+        program.steps.begin(), program.steps.end(),
+        [op](const Step& s) { return s.op == op; });
+    if (first != program.steps.end() && first->at_us > after_us) {
+      return program;
+    }
+  }
+  ADD_FAILURE() << "no program has a late " << to_string(op);
+  return {};
+}
+
+TEST(ShrinkTest, TimeIndependentFailureShrinksIntoTheFirstSecond) {
+  // "Fails iff a process is ever killed", whenever it happens: the
+  // reproducer must not idle through the generator's gaps before the
+  // kill, nor run past it.
+  const ScenarioProgram program =
+      program_with_late(OpKind::kKillApp, 10'000'000);
+  const ScenarioProgram reduced = shrink(
+      program,
+      [](const ScenarioProgram& p) { return has_op(p, OpKind::kKillApp); });
+  EXPECT_TRUE(validate(reduced));
+  ASSERT_EQ(reduced.steps.size(), 1u);
+  EXPECT_EQ(reduced.steps[0].op, OpKind::kKillApp);
+  EXPECT_LT(reduced.steps[0].at_us, 1'000'000);
+  EXPECT_LT(reduced.horizon_us, 1'000'000);
+}
+
+TEST(ShrinkTest, FailureGatedOnALateInstantKeepsItsStepThere) {
+  // "Fails iff a process is killed at or after `late`": moving the kill
+  // earlier than `late` loses the failure, so the time pass must stop at
+  // `late` (within its 1 ms grain), never before it.
+  const ScenarioProgram program =
+      program_with_late(OpKind::kKillApp, 10'000'000);
+  const std::int64_t late =
+      std::find_if(program.steps.begin(), program.steps.end(),
+                   [](const Step& s) { return s.op == OpKind::kKillApp; })
+          ->at_us -
+      1'234'567;
+  const auto killed_late = [late](const ScenarioProgram& p) {
+    return std::any_of(p.steps.begin(), p.steps.end(), [late](const Step& s) {
+      return s.op == OpKind::kKillApp && s.at_us >= late;
+    });
+  };
+  const ScenarioProgram reduced = shrink(program, killed_late);
+  EXPECT_TRUE(validate(reduced));
+  ASSERT_EQ(reduced.steps.size(), 1u);
+  EXPECT_GE(reduced.steps[0].at_us, late);
+  EXPECT_LT(reduced.steps[0].at_us, late + 1'000);
 }
 
 TEST(ShrinkTest, PassingProgramIsACheckedError) {

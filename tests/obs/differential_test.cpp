@@ -1,14 +1,14 @@
 // Differential contracts for the observability layer:
 //   * trace-derived energy re-summation — summing the nanojoule args of
 //     the sampler's `energy.slice` trace events reproduces the battery's
-//     consumed total within 1 mJ across 64 random chaos seeds (the
+//     consumed total within 1 mJ across 64 generated chaos programs (the
 //     trace is an independent record the meters can be validated
 //     against, in the spirit of arxiv 1701.07095);
 //   * trace bytes and metrics snapshots are bitwise identical between
 //     the serial reference fleet and work-stealing fleets at worker
 //     counts {1, 4, 8} — observability output is a pure function of the
 //     simulated history, never of how it was executed;
-//   * tracing a chaos run moves no bit of its digest.
+//   * tracing a chaos program's replay moves no bit of its digest.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,7 +21,8 @@
 #include "apps/testbed.h"
 #include "fleet/aggregate.h"
 #include "fleet/fleet.h"
-#include "fuzz/chaos.h"
+#include "fuzz/executor.h"
+#include "fuzz/generator.h"
 #include "obs/export.h"
 
 namespace eandroid::obs {
@@ -62,23 +63,39 @@ ParsedTrace parse_trace(const std::string& text) {
   return parsed;
 }
 
-fuzz::ChaosOptions chaos_options(std::uint64_t seed, bool traced) {
-  fuzz::ChaosOptions options;
-  options.seed = seed;
-  options.steps = 40;
+/// One replay of a 40-step chaos program (fault ops mixed in, 70 s
+/// settle tail) on a Testbed.
+struct ChaosReplay {
+  std::string digest;      // energy digest + metrics table
+  std::string trace_text;  // empty when untraced
+  double consumed_mj = 0.0;
+};
+
+ChaosReplay replay_chaos(std::uint64_t seed, bool traced) {
+  const fuzz::ScenarioProgram program = fuzz::generate(
+      {.seed = seed, .min_steps = 40, .max_steps = 40, .tail_us = 70'000'000});
+  apps::TestbedOptions options{.seed = seed};
   if (traced) {
     options.obs.trace = true;
-    // Big enough that no chaos seed wraps the ring: a wrapped trace
+    // Big enough that no chaos program wraps the ring: a wrapped trace
     // would silently lose slices and the re-summation below with it.
     options.obs.trace_capacity = 1u << 20;
   }
-  return options;
+  apps::Testbed bed(options);
+  fuzz::install_cast(bed);
+  bed.start();
+  fuzz::ProgramExecutor executor(bed, program);
+  executor.run();
+  ChaosReplay out;
+  out.digest = bed.energy_digest() + bed.metrics_snapshot().render();
+  out.trace_text = bed.trace_text();
+  out.consumed_mj = bed.server().battery().consumed_total_mj();
+  return out;
 }
 
 TEST(TraceResummationTest, SliceArgsReproduceBatteryTotalAcross64Seeds) {
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    const fuzz::ChaosResult result =
-        fuzz::run_chaos(chaos_options(seed, true));
+    const ChaosReplay result = replay_chaos(seed, true);
     ASSERT_FALSE(result.trace_text.empty()) << "seed " << seed;
     const ParsedTrace parsed = parse_trace(result.trace_text);
     ASSERT_EQ(parsed.dropped, 0u)
@@ -92,11 +109,9 @@ TEST(TraceResummationTest, SliceArgsReproduceBatteryTotalAcross64Seeds) {
 
 TEST(TraceResummationTest, TracingMovesNoBitOfTheChaosDigest) {
   for (std::uint64_t seed : {3u, 17u, 42u}) {
-    const fuzz::ChaosResult plain =
-        fuzz::run_chaos(chaos_options(seed, false));
-    const fuzz::ChaosResult traced =
-        fuzz::run_chaos(chaos_options(seed, true));
-    EXPECT_EQ(plain.digest(), traced.digest()) << "seed " << seed;
+    const ChaosReplay plain = replay_chaos(seed, false);
+    const ChaosReplay traced = replay_chaos(seed, true);
+    EXPECT_EQ(plain.digest, traced.digest) << "seed " << seed;
     EXPECT_TRUE(plain.trace_text.empty());
     EXPECT_FALSE(traced.trace_text.empty());
   }

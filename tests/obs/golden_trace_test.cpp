@@ -27,7 +27,8 @@
 
 #include "apps/scenarios.h"
 #include "apps/testbed.h"
-#include "fuzz/chaos.h"
+#include "fuzz/executor.h"
+#include "fuzz/generator.h"
 
 namespace eandroid::obs {
 
@@ -144,13 +145,21 @@ TEST(GoldenTraceTest, Attack6WakelockLeak) {
 }
 
 TEST(GoldenTraceTest, ChaosSeed7) {
-  fuzz::ChaosOptions options;
-  options.seed = 7;
-  options.steps = 20;
+  // A 20-step chaos program (fault ops mixed in, 70 s settle tail)
+  // replayed to its horizon, then checked at end state.
+  const fuzz::ScenarioProgram program = fuzz::generate(
+      {.seed = 7, .min_steps = 20, .max_steps = 20, .tail_us = 70'000'000});
+  apps::TestbedOptions options{.seed = 7};
   options.obs.trace = true;
   options.obs.trace_capacity = 1u << 18;
-  const fuzz::ChaosResult result = fuzz::run_chaos(options);
-  check_golden("chaos_seed7", result.trace_text, /*chrome_json=*/"");
+  apps::Testbed bed(options);
+  fuzz::install_cast(bed);
+  bed.start();
+  fuzz::ProgramExecutor executor(bed, program);
+  executor.run();
+  executor.check_now("end state");
+  EXPECT_TRUE(executor.violations().empty());
+  check_golden("chaos_seed7", bed.trace_text(), /*chrome_json=*/"");
 }
 
 }  // namespace
